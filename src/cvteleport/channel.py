@@ -11,6 +11,7 @@ state keeps the form of :class:`~cvteleport.states.GaussianTwoMode` with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ class ChannelParams:
     T: float
 
     def __post_init__(self):
+        for name in ("s_qc", "n_bar", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.s_qc < 0:
             raise ConfigurationError(f"s_qc must be >= 0, got {self.s_qc}")
         if self.n_bar < 0:
@@ -64,6 +68,8 @@ class NoiseFactor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"noise kind must be one of {_KINDS}, got {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ConfigurationError(f"noise factor must be finite, got {self.value}")
         if self.value < 0:
             raise DomainError(f"noise factor must be >= 0, got {self.value}")
 

@@ -36,6 +36,7 @@ OUTDIR_ENV = "CVTELEPORT_OUTDIR"
 SWEEP_COLUMNS = ("s_qc", "n_bar", "T", "n_tau", "n_d", "gap", "separable")
 TABLE_COLUMNS = ("n_tau", "f_closed", "f_grid", "abs_delta")
 GRID_TOLERANCE = 1e-4
+VERIFY_LEVELS = ("quick", "full")
 
 
 def _fmt(x) -> str:
@@ -240,11 +241,16 @@ def cmd_fidelity_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # level and format may come from a config file, which argparse never sees
     level = args.level or "quick"
-    mutation = float(args.mutate_kernel) if args.mutate_kernel else 0.0
+    if level not in VERIFY_LEVELS:
+        raise ConfigurationError(f"level must be one of {VERIFY_LEVELS}, got {level!r}")
+    fmt = args.format or "text"
+    if fmt not in ("text", "json"):
+        raise ConfigurationError(f"--format must be text or json, got {fmt!r}")
+    mutation = _parse_float(args.mutate_kernel, "--mutate-kernel") if args.mutate_kernel else 0.0
     results = run_all(level=level, kernel_mutation=mutation)
     all_passed = all(r.passed is not False for r in results)
-    fmt = args.format or "text"
     out = _resolve_out(args.out)
     fh = open(out, "w") if out else sys.stdout
     try:
@@ -372,7 +378,7 @@ def build_parser() -> _Parser:
     table.set_defaults(func=cmd_fidelity_table)
 
     verify = commands.add_parser("verify", help="run the acceptance checks")
-    verify.add_argument("level", nargs="?", choices=("quick", "full"), default=None)
+    verify.add_argument("level", nargs="?", choices=VERIFY_LEVELS, default=None)
     verify.add_argument("--mutate-kernel", dest="mutate_kernel", help=argparse.SUPPRESS)
     _add_common(verify)
     verify.set_defaults(func=cmd_verify)

@@ -1,11 +1,12 @@
 """Moment extraction and nonclassicality-transfer predicates.
 
-Normally ordered moments <(a^dag)^m a^n> come from finite differences of the
-normally ordered characteristic function C^P(xi) = e^{|xi|^2/2} C^W(xi) at
-xi = 0.  On top of those sit the survival thresholds: how much teleportation
-noise n_tau a sub-Poissonian or squeezed input can absorb before the
-corresponding nonclassical signature disappears, and the global statement
-that for n_tau >= 1 the teleported P function is positive for every input.
+Normally ordered moments <(a^dag)^m a^n> come from one table per state: the
+trapezoid raw moments Int x^p y^q R d^2alpha, reordered to normal order by
+the Cahill-Glauber identity (Phys. Rev. 177, 1882, 1969).  On top of those
+sit the survival thresholds: how much teleportation noise n_tau a
+sub-Poissonian or squeezed input can absorb before the corresponding
+nonclassical signature disappears, and the global statement that for
+n_tau >= 1 the teleported P function is positive for every input.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 
 from .channel import NoiseFactor
 from .errors import AccuracyError, ConfigurationError, DomainError, UnsupportedDeconvolutionError
-from .phase_space import WignerGrid, blur_values, characteristic
+from .numerics import trapezoid_weights
+from .phase_space import GaussianOneMode, WignerGrid, blur_values
 from .teleport import teleport_state
 
 _VAR_SLOP = 1e-6
+MAX_MOMENT_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -56,58 +59,85 @@ class QuadratureStats:
         object.__setattr__(self, "variance", max(0.0, float(self.variance)))
 
 
-def _fd_weights(order: int, points: np.ndarray) -> np.ndarray:
-    """Weights w with sum w_j f(x_j) -> f^(order)(0) for symmetric points."""
-    a = np.vander(points, len(points), increasing=True).T
-    rhs = np.zeros(len(points))
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(a, rhs)
+def _axis_moments(mean: float, var: float) -> np.ndarray:
+    """E[x^p], p <= MAX_MOMENT_ORDER, of a normal variable, by the recurrence
+    E[x^p] = mean E[x^(p-1)] + (p-1) var E[x^(p-2)]."""
+    out = np.zeros(MAX_MOMENT_ORDER + 1)
+    out[0] = 1.0
+    out[1] = mean
+    for p in range(2, MAX_MOMENT_ORDER + 1):
+        out[p] = mean * out[p - 1] + (p - 1) * var * out[p - 2]
+    return out
+
+
+def _raw_moments(g) -> np.ndarray:
+    """raw[p, q] = Int x^p y^q R(x + iy) dx dy for p, q <= MAX_MOMENT_ORDER.
+
+    Grids use the trapezoid rule as one product V R V^T with
+    V[p, i] = x_i^p w_i; axis-aligned Gaussians use their closed form.
+    """
+    if isinstance(g, GaussianOneMode):
+        m = complex(g.mean)
+        return np.outer(_axis_moments(m.real, g.var_r), _axis_moments(m.imag, g.var_i))
+    if not isinstance(g, WignerGrid):
+        raise ConfigurationError(f"cannot take moments of {type(g).__name__}")
+    powers = g.axes() ** np.arange(MAX_MOMENT_ORDER + 1)[:, None]
+    v = powers * trapezoid_weights(g.resolution, g.dx)
+    return v @ g.values @ v.T
+
+
+def moment_table(g) -> np.ndarray:
+    """Normally ordered moments <(a^dag)^m a^n> for every m + n <= 4.
+
+    Returns a complex 5x5 array ``t`` with ``t[m, n]`` the moment and NaN
+    where m + n > 4.  The sigma-ordered moments are the phase-space
+    integrals of conj(alpha)^m alpha^n = (x - iy)^m (x + iy)^n, expanded
+    binomially over the raw moments; the Cahill-Glauber identity
+
+        {a^dag^m a^n}_sigma = sum_k k! C(m,k) C(n,k) ((1-sigma)/2)^k
+                              <a^dag^(m-k) a^(n-k)>_N
+
+    then gives the normal order, solved upward in total order.
+    """
+    raw = _raw_moments(g)
+    c = (1.0 - g.sigma) / 2.0
+    table = np.full((MAX_MOMENT_ORDER + 1,) * 2, np.nan, dtype=complex)
+    for total in range(MAX_MOMENT_ORDER + 1):
+        for m in range(total + 1):
+            n = total - m
+            ordered = sum(
+                math.comb(m, a) * math.comb(n, b) * (-1j) ** (m - a) * 1j ** (n - b)
+                * raw[a + b, total - a - b]
+                for a in range(m + 1)
+                for b in range(n + 1)
+            )
+            table[m, n] = ordered - sum(
+                math.factorial(k) * math.comb(m, k) * math.comb(n, k) * c**k * table[m - k, n - k]
+                for k in range(1, min(m, n) + 1)
+            )
+    return table
 
 
 def moments(w, m: int, n: int) -> complex:
-    """Normally ordered moment <(a^dag)^m a^n>, m + n <= 4.
-
-    Samples the characteristic function on a 9x9 stencil around xi = 0,
-    reorders to C^P with the e^{(1-sigma)|xi|^2/2} factor, and combines
-    1D finite-difference weights for the mixed Wirtinger derivative.  The
-    step widens for total order 3-4 where roundoff dominates truncation.
-    """
-    if m < 0 or n < 0 or m + n > 4:
+    """Normally ordered moment <(a^dag)^m a^n>, m + n <= 4, read from
+    :func:`moment_table`."""
+    if m < 0 or n < 0 or m + n > MAX_MOMENT_ORDER:
         raise ConfigurationError("moment orders must satisfy m, n >= 0 and m + n <= 4")
-    total = m + n
-    h = 1e-3 if total <= 2 else 0.02
-    offs = np.arange(-4, 5)
-    xi = h * (offs[:, None] + 1j * offs[None, :])
-    sigma = getattr(w, "sigma", 0.0)
-    c_p = np.exp((1.0 - sigma) * np.abs(xi) ** 2 / 2.0) * characteristic(w, xi)
-    acc = 0.0 + 0.0j
-    for a_ in range(m + 1):
-        for b_ in range(n + 1):
-            p = a_ + b_
-            coef = (
-                math.comb(m, a_)
-                * math.comb(n, b_)
-                * (-1j) ** (m - a_)
-                * (1j) ** (n - b_)
-            )
-            wr = _fd_weights(p, offs * h)
-            wi = _fd_weights(total - p, offs * h)
-            acc += coef * (wr @ c_p @ wi)
-    return complex((-1) ** n * acc / 2**total)
+    return complex(moment_table(w)[m, n])
 
 
 def photon_statistics(w) -> PhotonStats:
     """PhotonStats of a state from its (1,1) and (2,2) moments."""
-    n_mean = moments(w, 1, 1).real
-    n2 = moments(w, 2, 2).real + n_mean  # <N^2> = <a^dag^2 a^2> + <N>
+    t = moment_table(w)
+    n_mean = t[1, 1].real
+    n2 = t[2, 2].real + n_mean  # <N^2> = <a^dag^2 a^2> + <N>
     return PhotonStats(mean=n_mean, variance=n2 - n_mean**2)
 
 
 def quadrature_statistics(w, phi: float = 0.0) -> QuadratureStats:
     """QuadratureStats of X(phi) from first and second moments."""
-    a1 = moments(w, 0, 1)
-    a2 = moments(w, 0, 2)
-    nbar = moments(w, 1, 1).real
+    t = moment_table(w)
+    a1, a2, nbar = t[0, 1], t[0, 2], t[1, 1].real
     rot = np.exp(-1j * phi)
     mean = 2.0 * (rot * a1).real
     x2 = 2.0 * (rot**2 * a2).real + 2.0 * nbar + 1.0

@@ -80,6 +80,14 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
 
 
+def trapezoid_weights(n: int, dx: float) -> np.ndarray:
+    """Weights of the n-point trapezoid rule with node spacing dx."""
+    w = np.full(n, dx)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def grid_integrate(g) -> float:
     """Trapezoidal integral of a sampled phase-space function over its grid.
 

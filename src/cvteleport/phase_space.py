@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     UnsupportedDeconvolutionError,
 )
+from .numerics import trapezoid_weights
 
 DEFAULT_EXTENT = 6.0
 DEFAULT_RESOLUTION = 256
@@ -247,9 +248,7 @@ def characteristic(g, xi):
             f"|xi| exceeds the grid band limit {band_limit(g):.4g}"
         )
     ax = g.axes()
-    w = np.full(g.resolution, g.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = trapezoid_weights(g.resolution, g.dx)
     flat = xi_arr.reshape(-1)
     ex = np.exp(2j * np.outer(flat.imag, ax)) * w  # (n, res)
     ey = np.exp(-2j * np.outer(flat.real, ax)) * w

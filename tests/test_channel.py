@@ -26,6 +26,13 @@ def test_channel_params_validation():
         ChannelParams(s_qc=0.0, n_bar=-1.0, T=0.0)
     with pytest.raises(ConfigurationError):
         ChannelParams(s_qc=0.0, n_bar=0.0, T=1.2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            ChannelParams(s_qc=bad, n_bar=0.0, T=0.5)
+        with pytest.raises(ConfigurationError):
+            ChannelParams(s_qc=0.0, n_bar=bad, T=0.5)
+        with pytest.raises(ConfigurationError):
+            ChannelParams(s_qc=0.0, n_bar=0.0, T=bad)
 
 
 def test_gamma_t_conversion():
@@ -43,6 +50,9 @@ def test_noise_factor_validation():
         NoiseFactor(value=1.0, kind="sideways")
     with pytest.raises(DomainError):
         NoiseFactor(value=-0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            NoiseFactor(value=bad)
     assert float(NoiseFactor(value=0.25)) == 0.25
 
 

@@ -133,6 +133,26 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_non_finite_channel_parameters_exit_one(capsys):
+    code, out, err = _run(capsys, ["noise-sweep", "--squeezing", "nan", "--nbar", "0", "--time", "0.5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cvteleport: error:") and "finite" in err
+    code, _, _ = _run(capsys, ["noise-sweep", "--nbar", "inf", "--time", "0.5"])
+    assert code == 1
+
+
+def test_config_values_are_validated(capsys, tmp_path):
+    # config-file values pass the same checks as the flags they stand for
+    for line in ("level = bogus", "format = yaml", "mutate-kernel = lots"):
+        conf = tmp_path / "verify.conf"
+        conf.write_text(line + "\n")
+        code, out, err = _run(capsys, ["verify", "--config", str(conf)])
+        assert code == 1, line
+        assert out == ""
+        assert err.startswith("cvteleport: error:"), line
+
+
 def test_verify_quick_text(capsys):
     code, out, _ = _run(capsys, ["verify", "quick"])
     lines = out.strip().splitlines()

@@ -1,21 +1,28 @@
 """Moment extraction and nonclassicality-transfer thresholds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import (
     AccuracyError,
     ConfigurationError,
     DomainError,
+    GaussianOneMode,
     PhotonStats,
     QuadratureStats,
     UnsupportedDeconvolutionError,
     WignerGrid,
+    characteristic,
     coherent_wigner,
     convert_sigma,
     fock_wigner,
     grid_integrate,
+    moment_table,
     moments,
     p_negativity_probe,
     p_positive_after_teleport,
@@ -39,6 +46,75 @@ def _grid_moment(g, m, n):
     integ = np.conj(a) ** m * a**n * g.values
     w = np.gradient(g.axes())
     return np.einsum("ij,i,j->", integ, w, w)
+
+
+def _fd_weights(order, points):
+    # weights w with sum w_j f(x_j) -> f^(order)(0) for symmetric points
+    a = np.vander(points, len(points), increasing=True).T
+    rhs = np.zeros(len(points))
+    rhs[order] = math.factorial(order)
+    return np.linalg.solve(a, rhs)
+
+
+def _fd_moment(w, m, n):
+    # independent route: mixed Wirtinger derivative of the normally ordered
+    # characteristic function C^P(xi) = e^{(1-sigma)|xi|^2/2} C(xi) at xi = 0,
+    # by finite differences on a 9x9 stencil; the step widens for total
+    # order 3-4, where roundoff dominates truncation
+    total = m + n
+    h = 1e-3 if total <= 2 else 0.02
+    offs = np.arange(-4, 5)
+    xi = h * (offs[:, None] + 1j * offs[None, :])
+    c_p = np.exp((1.0 - w.sigma) * np.abs(xi) ** 2 / 2.0) * characteristic(w, xi)
+    acc = 0.0 + 0.0j
+    for a_ in range(m + 1):
+        for b_ in range(n + 1):
+            p = a_ + b_
+            coef = math.comb(m, a_) * math.comb(n, b_) * (-1j) ** (m - a_) * (1j) ** (n - b_)
+            acc += coef * (_fd_weights(p, offs * h) @ c_p @ _fd_weights(total - p, offs * h))
+    return complex((-1) ** n * acc / 2**total)
+
+
+_ORACLE_STATES = {
+    **{f"teleported_fock{m}": lambda m=m: teleport_state(fock_wigner(m), 0.3) for m in range(4)},
+    "squeezed0.5": lambda: squeezed_vacuum_wigner(0.5),
+    "coherent": lambda: coherent_wigner(-0.8 + 0.3j),
+    "q_grid_fock1": lambda: convert_sigma(fock_wigner(1), -1.0),
+    "gaussian_one_mode": lambda: GaussianOneMode(mean=0.3 - 0.2j, var_r=0.4, var_i=0.9),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ORACLE_STATES))
+def test_moment_table_matches_characteristic_route(label):
+    g = _ORACLE_STATES[label]()
+    table = moment_table(g)
+    for m in range(5):
+        for n in range(5):
+            if m + n <= 4:
+                assert_allclose(table[m, n], _fd_moment(g, m, n), rtol=0, atol=1e-6)
+            else:
+                assert np.isnan(table[m, n])
+
+
+def _refinable_state(kind, param, resolution):
+    if kind == "fock":
+        return fock_wigner(int(param * 4), resolution=resolution)
+    if kind == "squeezed":
+        return squeezed_vacuum_wigner(param - 0.5, resolution=resolution)
+    return coherent_wigner(1.5 * param * np.exp(2j * np.pi * param), resolution=resolution)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["fock", "squeezed", "coherent"]), st.floats(0.0, 1.0))
+def test_moment_table_invariant_under_grid_refinement(kind, param):
+    coarse = moment_table(_refinable_state(kind, param, 256))
+    fine = moment_table(_refinable_state(kind, param, 384))
+    assert_allclose(coarse, fine, rtol=0, atol=1e-6, equal_nan=True)
+
+
+def test_moment_table_rejects_other_inputs():
+    with pytest.raises(ConfigurationError):
+        moment_table(np.zeros((8, 8)))
 
 
 def test_moments_vacuum():
