@@ -19,9 +19,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .states import GaussianTwoMode
 
-_KINDS = ("teleport", "direct")
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Channel squeezing s_qc >= 0, bath occupation n_bar >= 0, and
@@ -56,18 +53,11 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class NoiseFactor:
-    """Additive Gaussian noise of a transmission scheme.
-
-    ``kind`` is "teleport" for the measured-quadrature protocol and
-    "direct" for plain transmission through the same bath.
-    """
+    """Additive Gaussian noise of a transmission scheme."""
 
     value: float
-    kind: str = "teleport"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"noise kind must be one of {_KINDS}, got {self.kind!r}")
         if not math.isfinite(self.value):
             raise ConfigurationError(f"noise factor must be finite, got {self.value}")
         if self.value < 0:
@@ -75,6 +65,15 @@ class NoiseFactor:
 
     def __float__(self) -> float:
         return float(self.value)
+
+
+def as_noise(n_tau) -> float:
+    """The noise value of a :class:`NoiseFactor` or of a plain number,
+    validated the same way: finite (else ConfigurationError) and >= 0
+    (else DomainError)."""
+    if not isinstance(n_tau, NoiseFactor):
+        n_tau = NoiseFactor(value=float(n_tau))
+    return float(n_tau.value)
 
 
 def evolve_channel(p: ChannelParams) -> GaussianTwoMode:
@@ -123,7 +122,7 @@ def noise_factor(p: ChannelParams) -> NoiseFactor:
     which equals gamma(T) - lam(T) of the channel state.
     """
     value = (2.0 * p.n_bar + 1.0) * p.T + (1.0 - p.T) * np.exp(-2.0 * p.s_qc)
-    return NoiseFactor(value=float(value), kind="teleport")
+    return NoiseFactor(value=float(value))
 
 
 def direct_noise(n_bar: float, T: float) -> NoiseFactor:
@@ -132,7 +131,7 @@ def direct_noise(n_bar: float, T: float) -> NoiseFactor:
         raise ConfigurationError(f"n_bar must be >= 0, got {n_bar}")
     if not 0.0 <= T <= 1.0:
         raise ConfigurationError(f"T must lie in [0, 1], got {T}")
-    return NoiseFactor(value=float(n_bar) * float(T), kind="direct")
+    return NoiseFactor(value=float(n_bar) * float(T))
 
 
 def is_separable(p: ChannelParams) -> bool:

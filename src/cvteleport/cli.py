@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -37,6 +38,8 @@ SWEEP_COLUMNS = ("s_qc", "n_bar", "T", "n_tau", "n_d", "gap", "separable")
 TABLE_COLUMNS = ("n_tau", "f_closed", "f_grid", "abs_delta")
 GRID_TOLERANCE = 1e-4
 VERIFY_LEVELS = ("quick", "full")
+MAX_RESOLUTION = 2048
+MAX_STEPS = 1000
 
 
 def _fmt(x) -> str:
@@ -59,13 +62,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_float(text: str, flag: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigurationError(f"{flag} expects a number, got {text!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{flag} must be finite, got {text!r}")
+    return value
 
 
 def _parse_range(text: str, flag: str) -> np.ndarray:
-    """'start:stop:steps' or a single value; steps >= 1."""
+    """'start:stop:steps' or a single value; 1 <= steps <= MAX_STEPS."""
     parts = text.split(":")
     if len(parts) == 1:
         return np.array([_parse_float(parts[0], flag)])
@@ -79,6 +85,8 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
         raise ConfigurationError(f"{flag} steps must be an integer, got {parts[2]!r}")
     if steps < 1:
         raise ConfigurationError(f"{flag} needs at least one step, got {steps}")
+    if steps > MAX_STEPS:
+        raise ConfigurationError(f"{flag} allows at most {MAX_STEPS} steps, got {steps}")
     return np.linspace(start, stop, steps)
 
 
@@ -171,7 +179,14 @@ def _emit_table(args, command, columns, rows):
 
 def _grid_settings(args):
     extent = _parse_float(args.grid_extent, "--grid-extent") if args.grid_extent else 6.0
-    res = int(_parse_float(args.grid_res, "--grid-res")) if args.grid_res else 256
+    if not args.grid_res:
+        return extent, 256
+    try:
+        res = int(args.grid_res)
+    except ValueError:
+        raise ConfigurationError(f"--grid-res expects an integer, got {args.grid_res!r}")
+    if not 8 <= res <= MAX_RESOLUTION:
+        raise ConfigurationError(f"--grid-res must lie in [8, {MAX_RESOLUTION}], got {res}")
     return extent, res
 
 
@@ -221,9 +236,10 @@ def cmd_fidelity_table(args) -> int:
             f"fidelity table supports fock:m and squeezed:s_o, got {args.state!r}"
         )
     extent, res = _grid_settings(args)
+    n_values = _ntau_values(args)
     _, w_in = _parse_state(args.state, extent, res)
     rows = []
-    for n_tau in _ntau_values(args):
+    for n_tau in n_values:
         if kind == "fock":
             f_closed = fock_fidelity(int(arg), n_tau).value
         else:
@@ -287,7 +303,6 @@ def cmd_verify(args) -> int:
 
 def cmd_teleport_export(args) -> int:
     extent, res = _grid_settings(args)
-    label, w_in = _parse_state(args.state or "vacuum", extent, res)
     channel = None
     if args.ntau is not None:
         n_tau = _parse_float(args.ntau, "--ntau")
@@ -303,6 +318,7 @@ def cmd_teleport_export(args) -> int:
         )
         channel = {"s_qc": p.s_qc, "n_bar": p.n_bar, "T": p.T}
         n_tau = noise_factor(p).value
+    label, w_in = _parse_state(args.state or "vacuum", extent, res)
     w_out = teleport_state(w_in, n_tau)
 
     outdir = _resolve_out(args.out or ".") or "."

@@ -5,23 +5,24 @@ For a pure input, fidelity is the Wigner overlap
     F = pi Int d2a W_o(a) W_r(a).
 
 Number-state and squeezed-vacuum inputs admit closed forms in the noise
-factor n_tau; the number-state expression has a removable 0*inf point at
-n_tau = 1 that is handled by an analytically equivalent sum.
+factor n_tau; the number-state one is a sum of positive terms, valid for
+every n_tau >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, cosh, sqrt
+from math import cosh, sqrt
 
 import numpy as np
 
-from .channel import NoiseFactor
+from .channel import as_noise
 from .errors import ConfigurationError, DomainError
-from .numerics import legendre
+from .numerics import integrate_2d
 from .phase_space import WignerGrid
 
 _METHODS = ("overlap-grid", "fock-closed-form", "squeezed-closed-form")
+_RESCALE = 2.0**300
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,6 @@ class FidelityReport:
         return self.value
 
 
-def _ntau(n_tau) -> float:
-    if isinstance(n_tau, NoiseFactor):
-        return float(n_tau.value)
-    n = float(n_tau)
-    if n < 0:
-        raise DomainError(f"n_tau must be >= 0, got {n}")
-    return n
-
-
 def overlap_fidelity(w_o: WignerGrid, w_r: WignerGrid) -> FidelityReport:
     """Overlap fidelity of two Wigner grids on identical geometry.
 
@@ -64,32 +56,34 @@ def overlap_fidelity(w_o: WignerGrid, w_r: WignerGrid) -> FidelityReport:
         raise ConfigurationError("overlap fidelity is defined on Wigner grids (sigma = 0)")
     if not w_o.pure_origin:
         raise ConfigurationError("the reference state must be pure for overlap fidelity")
-    ax = w_o.axes()
-    val = np.pi * np.trapezoid(np.trapezoid(w_o.values * w_r.values, ax, axis=1), ax)
-    return FidelityReport(value=float(val), method="overlap-grid")
+    val = np.pi * integrate_2d(w_o.values * w_r.values, w_o.axes())
+    return FidelityReport(value=val, method="overlap-grid")
 
 
 def fock_fidelity(m: int, n_tau) -> FidelityReport:
-    """Fidelity of teleporting the number state |m> through noise n_tau.
+    """Fidelity of teleporting the number state |m> through noise n_tau,
 
-    F_m = (1 - n)^m / (1 + n)^{m+1} * P_m((1 + n^2)/(1 - n^2)) with P_m the
-    Legendre polynomial; for |n - 1| < 1e-6 the equivalent expansion
+        F_m = sum_k C(m,k)^2 n^{2(m-k)} / (1 + n)^{2m+1}.
 
-        F_m = sum_k C(m,k)^2 n^{2(m-k)} / (1 + n)^{2m+1}
-
-    avoids the indeterminate point.
+    With r = min(n, 1/n) and t_j = C(m,j) r^j this is
+    sum_j t_j^2 / ((sum_j t_j)^2 (1 + n)): the squared binomial
+    probabilities of success r / (1 + r), over 1 + n.  The t_j follow from
+    their ratio recurrence and are rescaled by a power of two whenever they
+    grow large, so every term stays finite for any m and n.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
         raise ConfigurationError("number-state index must be an integer >= 0")
     m = int(m)
-    n = _ntau(n_tau)
-    if abs(n - 1.0) < 1e-6:
-        val = sum(comb(m, k) ** 2 * n ** (2 * (m - k)) for k in range(m + 1))
-        val /= (1.0 + n) ** (2 * m + 1)
-    else:
-        arg = (1.0 + n**2) / (1.0 - n**2)
-        val = (1.0 - n) ** m / (1.0 + n) ** (m + 1) * legendre(m, arg)
-    return FidelityReport(value=float(val), method="fock-closed-form")
+    n = as_noise(n_tau)
+    r = min(n, 1.0 / n) if n > 0.0 else 0.0
+    t = s1 = s2 = 1.0
+    for j in range(1, m + 1):
+        t = t * (m - j + 1) / j * r
+        if t > _RESCALE:
+            t, s1, s2 = t / _RESCALE, s1 / _RESCALE, s2 / _RESCALE**2
+        s1 += t
+        s2 += t * t
+    return FidelityReport(value=s2 / (s1 * s1 * (1.0 + n)), method="fock-closed-form")
 
 
 def squeezed_fidelity(s_o: float, n_tau) -> FidelityReport:
@@ -97,6 +91,6 @@ def squeezed_fidelity(s_o: float, n_tau) -> FidelityReport:
 
     F = (n^2 + 2 n cosh 2 s_o + 1)^{-1/2}.
     """
-    n = _ntau(n_tau)
+    n = as_noise(n_tau)
     val = 1.0 / sqrt(n**2 + 2.0 * n * cosh(2.0 * s_o) + 1.0)
     return FidelityReport(value=val, method="squeezed-closed-form")

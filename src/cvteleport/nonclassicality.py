@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseFactor
-from .errors import AccuracyError, ConfigurationError, DomainError, UnsupportedDeconvolutionError
+from .channel import as_noise
+from .errors import ConfigurationError, DomainError, UnsupportedDeconvolutionError
 from .numerics import trapezoid_weights
-from .phase_space import GaussianOneMode, WignerGrid, blur_values
+from .phase_space import GaussianOneMode, WignerGrid, smooth
 from .teleport import teleport_state
 
 _VAR_SLOP = 1e-6
@@ -144,15 +144,6 @@ def quadrature_statistics(w, phi: float = 0.0) -> QuadratureStats:
     return QuadratureStats(phi=float(phi), mean=mean, variance=x2 - mean**2)
 
 
-def _ntau(n_tau) -> float:
-    if isinstance(n_tau, NoiseFactor):
-        return float(n_tau.value)
-    n = float(n_tau)
-    if n < 0:
-        raise DomainError(f"n_tau must be >= 0, got {n}")
-    return n
-
-
 def teleported_photon_stats(s_in, n_tau) -> PhotonStats:
     """Photon statistics after teleportation with noise n_tau.
 
@@ -161,7 +152,7 @@ def teleported_photon_stats(s_in, n_tau) -> PhotonStats:
     m -> mean and the input variance added on), or a WignerGrid (teleports
     the grid and measures moments).
     """
-    n = _ntau(n_tau)
+    n = as_noise(n_tau)
     if isinstance(s_in, WignerGrid):
         return photon_statistics(teleport_state(s_in, n))
     if isinstance(s_in, PhotonStats):
@@ -192,7 +183,7 @@ def sub_poisson_threshold(s: PhotonStats):
 
 def quadrature_transfer(q: QuadratureStats, n_tau) -> QuadratureStats:
     """Quadrature statistics after teleportation: mean kept, variance + 2 n_tau."""
-    n = _ntau(n_tau)
+    n = as_noise(n_tau)
     return QuadratureStats(phi=q.phi, mean=q.mean, variance=q.variance + 2.0 * n)
 
 
@@ -214,7 +205,7 @@ def p_positive_after_teleport(n_tau) -> bool:
     Holds exactly when n_tau >= 1, the same boundary at which the channel
     state becomes separable.
     """
-    return _ntau(n_tau) >= 1.0
+    return as_noise(n_tau) >= 1.0
 
 
 def p_negativity_probe(w_o: WignerGrid, n_tau, sigma: float = 0.9) -> float:
@@ -230,15 +221,10 @@ def p_negativity_probe(w_o: WignerGrid, n_tau, sigma: float = 0.9) -> float:
         raise ConfigurationError("probe consumes Wigner grids (sigma = 0)")
     if sigma > 1.0:
         raise DomainError(f"ordering parameter must be <= 1, got {sigma}")
-    n = _ntau(n_tau)
+    n = as_noise(n_tau)
     s = 2.0 * n - sigma
     if s <= 0.0:
         raise UnsupportedDeconvolutionError(
             f"probing sigma = {sigma} at n_tau = {n} would require deconvolution"
         )
-    std = math.sqrt(s) / 2.0
-    if 4.0 * std > w_o.extent:
-        raise AccuracyError(
-            f"combined kernel width {std:.3g} exceeds what extent {w_o.extent} can hold"
-        )
-    return float(blur_values(w_o.values, w_o.axes(), std).min())
+    return float(smooth(w_o, s / 4.0).values.min())

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: polynomial recurrences, Gauss-Hermite rules,
+"""Shared numerical kernels: the Laguerre recurrence, Gauss-Hermite rules,
 and trapezoidal integration over phase-space grids."""
 
 from __future__ import annotations
@@ -53,19 +53,6 @@ def laguerre(m: int, x):
     return out if out.ndim else float(out)
 
 
-def legendre(m: int, z):
-    """Legendre polynomial P_m(z) via the Bonnet recurrence."""
-    m = _validate_degree(m)
-    z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
-    if m > 0:
-        prev, cur = out, z.copy()
-        for k in range(1, m):
-            prev, cur = cur, ((2 * k + 1) * z * cur - k * prev) / (k + 1)
-        out = cur
-    return out if out.ndim else float(out)
-
-
 def gauss_hermite(order: int) -> QuadratureRule:
     """Gauss-Hermite rule (weight exp(-x^2)) of the given order.
 
@@ -88,10 +75,14 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
+def integrate_2d(values: np.ndarray, ax: np.ndarray) -> float:
+    """Trapezoidal integral of samples on the square grid ax x ax."""
+    return float(np.trapezoid(np.trapezoid(values, ax, axis=1), ax))
+
+
 def grid_integrate(g) -> float:
     """Trapezoidal integral of a sampled phase-space function over its grid.
 
     ``g`` is any object exposing ``values`` (2D array) and ``axes()``.
     """
-    ax = g.axes()
-    return float(np.trapezoid(np.trapezoid(g.values, ax, axis=1), ax))
+    return integrate_2d(g.values, g.axes())

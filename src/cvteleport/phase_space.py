@@ -155,8 +155,8 @@ def _blur_matrix(ax: np.ndarray, std: float) -> np.ndarray:
     """Row-normalized 1D Gaussian convolution matrix for node spacing ax.
 
     Row normalization keeps the discrete kernel a partition of unity, so
-    mass is conserved and the delta limit (std -> 0) degrades gracefully
-    to the identity instead of blowing up.
+    constants are kept (mass only away from the edges) and the delta limit
+    (std -> 0) degrades gracefully to the identity instead of blowing up.
     """
     dx = ax[1] - ax[0]
     k = np.exp(-((ax[:, None] - ax[None, :]) ** 2) / (2.0 * std**2))
@@ -169,20 +169,36 @@ def _blur_matrix(ax: np.ndarray, std: float) -> np.ndarray:
     return k / rows
 
 
-def blur_values(values: np.ndarray, ax: np.ndarray, std: float) -> np.ndarray:
-    """Convolve a sampled distribution with an isotropic Gaussian of the
-    given per-axis standard deviation (two separable 1D passes)."""
+def smooth(g: WignerGrid, var: float) -> WignerGrid:
+    """Convolve a grid with an isotropic Gaussian of per-axis variance var.
+
+    Teleporting (var = n_tau / 2), lowering the ordering (var = delta_sigma / 4)
+    and the P-negativity probe all reduce to this one smoothing.  The
+    result keeps ``sigma``, drops the profile, widens the envelope, and
+    stays pure only when var = 0.
+    """
+    std = np.sqrt(var)
+    if 4.0 * std > g.extent:
+        raise AccuracyError(
+            f"smoothing kernel width {std:.3g} exceeds what extent {g.extent} can hold"
+        )
     if std == 0.0:
-        return values.copy()
-    k = _blur_matrix(ax, std)
-    return k @ values @ k.T
-
-
-def _widened_envelope(envelope, added_var: float):
-    if envelope is None:
-        return None
-    cx, cy, kx, ky = envelope
-    return (cx, cy, kx / (1.0 + 2.0 * kx * added_var), ky / (1.0 + 2.0 * ky * added_var))
+        values = g.values.copy()
+    else:
+        k = _blur_matrix(g.axes(), std)
+        values = k @ g.values @ k.T
+    envelope = g.envelope
+    if envelope is not None:
+        cx, cy, kx, ky = envelope
+        envelope = (cx, cy, kx / (1.0 + 2.0 * kx * var), ky / (1.0 + 2.0 * ky * var))
+    return WignerGrid(
+        sigma=g.sigma,
+        extent=g.extent,
+        resolution=g.resolution,
+        values=values,
+        envelope=envelope,
+        pure_origin=g.pure_origin and var == 0.0,
+    )
 
 
 def convert_sigma(g, sigma_to: float):
@@ -211,21 +227,7 @@ def convert_sigma(g, sigma_to: float):
     s = g.sigma - sigma_to
     if s == 0.0:
         return replace(g, values=g.values.copy())
-    std = np.sqrt(s) / 2.0
-    if 4.0 * std > g.extent:
-        raise AccuracyError(
-            f"conversion kernel width {std:.3g} exceeds what extent {g.extent} can hold"
-        )
-    out = blur_values(g.values, g.axes(), std)
-    return WignerGrid(
-        sigma=sigma_to,
-        extent=g.extent,
-        resolution=g.resolution,
-        values=out,
-        profile=None,
-        envelope=_widened_envelope(g.envelope, s / 4.0),
-        pure_origin=False,
-    )
+    return replace(smooth(g, s / 4.0), sigma=sigma_to)
 
 
 def characteristic(g, xi):

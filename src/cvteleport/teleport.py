@@ -5,98 +5,39 @@ adds isotropic noise: the output is the convolution
 
     W_r = P_tau * W_o,   P_tau(d) = 1/(pi n_tau) exp(-|d|^2 / n_tau),
 
-with n_tau = gamma - lam of the channel state.  ``protocol_oracle`` instead
-evaluates the full protocol integral (balanced mixing of the input with one
-channel mode, quadrature readout, conditional displacement of the other
-mode) by four-dimensional Gauss-Hermite quadrature and serves as an
-independent cross-check of the convolution route.
+with n_tau = gamma - lam of the channel state; ``teleport_state`` runs it
+as ``phase_space.smooth`` at per-axis variance n_tau / 2.
+``protocol_oracle`` instead evaluates the full protocol integral (balanced
+mixing of the input with one channel mode, quadrature readout, conditional
+displacement of the other mode) by four-dimensional Gauss-Hermite
+quadrature and serves as an independent cross-check of the convolution
+route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import NoiseFactor
-from .errors import AccuracyError, ConfigurationError, DomainError
+from .channel import as_noise
+from .errors import ConfigurationError
 from .numerics import gauss_hermite, laguerre
-from .phase_space import (
-    DEFAULT_EXTENT,
-    DEFAULT_RESOLUTION,
-    WignerGrid,
-    blur_values,
-    _widened_envelope,
-)
+from .phase_space import DEFAULT_EXTENT, DEFAULT_RESOLUTION, WignerGrid, smooth
 from .states import GaussianTwoMode, _make_grid
 
 ORACLE_ORDER = 40
 
-# test hook: relative distortion of the kernel width, used to demonstrate
-# that the oracle comparison catches a corrupted implementation
-_kernel_mutation = 0.0
-
-
-def set_kernel_mutation(epsilon: float) -> None:
-    global _kernel_mutation
-    _kernel_mutation = float(epsilon)
-
-
-def _ntau(n_tau) -> float:
-    if isinstance(n_tau, NoiseFactor):
-        return float(n_tau.value)
-    return float(n_tau)
-
-
-@dataclass(frozen=True)
-class TeleportKernel:
-    """Isotropic Gaussian noise kernel of one teleportation run."""
-
-    n_tau: NoiseFactor
-
-    def __post_init__(self):
-        if not isinstance(self.n_tau, NoiseFactor):
-            object.__setattr__(self, "n_tau", NoiseFactor(value=float(self.n_tau)))
-
-
-def kernel_value(k: TeleportKernel, delta) -> float:
-    """Kernel density at complex displacement delta."""
-    n = _ntau(k.n_tau if isinstance(k, TeleportKernel) else k)
-    if n <= 0:
-        raise DomainError(f"kernel needs n_tau > 0, got {n}")
-    d = np.asarray(delta, dtype=complex)
-    out = np.exp(-np.abs(d) ** 2 / n) / (np.pi * n)
-    return out if out.ndim else float(out)
-
 
 def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
-    """Teleport a Wigner grid: convolve with the noise kernel.
+    """Teleport a Wigner grid: convolve with the noise kernel P_tau, an
+    isotropic Gaussian of per-axis variance n_tau / 2.
 
     The convolution runs as two separable 1D Gaussian passes with
-    row-normalized kernels, so the output stays normalized and the
-    n_tau -> 0 limit returns the input.
+    row-normalized kernels, so the n_tau -> 0 limit returns the input.
     """
-    n = _ntau(n_tau)
-    if n < 0:
-        raise DomainError(f"n_tau must be >= 0, got {n}")
+    n = as_noise(n_tau)
     if w_o.sigma != 0.0:
         raise ConfigurationError("teleportation acts on Wigner grids (sigma = 0)")
-    n_eff = n * (1.0 + _kernel_mutation)
-    std = np.sqrt(n_eff / 2.0)
-    if 4.0 * std > w_o.extent:
-        raise AccuracyError(
-            f"kernel width {std:.3g} exceeds what extent {w_o.extent} can hold"
-        )
-    out = blur_values(w_o.values, w_o.axes(), std)
-    return WignerGrid(
-        sigma=0.0,
-        extent=w_o.extent,
-        resolution=w_o.resolution,
-        values=out,
-        profile=None,
-        envelope=_widened_envelope(w_o.envelope, n_eff / 2.0),
-        pure_origin=w_o.pure_origin and n == 0.0,
-    )
+    return smooth(w_o, n / 2.0)
 
 
 def teleported_fock_wigner(
@@ -123,9 +64,7 @@ def teleported_fock_wigner(
     if not isinstance(m, (int, np.integer)) or not 0 <= m <= 50:
         raise ConfigurationError("number-state index must be an integer in [0, 50]")
     m = int(m)
-    n = _ntau(n_tau)
-    if n < 0:
-        raise DomainError(f"n_tau must be >= 0, got {n}")
+    n = as_noise(n_tau)
     twon = 2.0 * n
 
     if abs(twon - 1.0) < 1e-6:
@@ -168,9 +107,7 @@ def teleported_squeezed_wigner(
              * exp(-2 a_r^2 / A(s_o) - 2 a_i^2 / A(-s_o)),
     A(s) = 2 n_tau + exp(-2 s).
     """
-    n = _ntau(n_tau)
-    if n < 0:
-        raise DomainError(f"n_tau must be >= 0, got {n}")
+    n = as_noise(n_tau)
     a_plus = 2.0 * n + np.exp(-2.0 * s_o)
     a_minus = 2.0 * n + np.exp(2.0 * s_o)
     if extent < 1.34 * np.sqrt(max(a_plus, a_minus)):

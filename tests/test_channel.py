@@ -17,6 +17,7 @@ from cvteleport import (
     teleport_vs_direct_gap,
     two_mode_squeezed_vacuum,
 )
+from cvteleport.channel import as_noise
 
 
 def test_channel_params_validation():
@@ -46,14 +47,22 @@ def test_gamma_t_conversion():
 
 
 def test_noise_factor_validation():
-    with pytest.raises(ConfigurationError):
-        NoiseFactor(value=1.0, kind="sideways")
     with pytest.raises(DomainError):
         NoiseFactor(value=-0.5)
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigurationError):
             NoiseFactor(value=bad)
     assert float(NoiseFactor(value=0.25)) == 0.25
+
+
+def test_as_noise_validates_numbers_like_noise_factors():
+    assert as_noise(NoiseFactor(value=0.25)) == 0.25
+    assert as_noise(0.5) == 0.5
+    with pytest.raises(DomainError):
+        as_noise(-0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            as_noise(bad)
 
 
 def test_evolve_channel_limits():
@@ -99,7 +108,6 @@ def test_noise_factor_values():
         rtol=1e-14,
     )
     got = noise_factor(ChannelParams(s_qc=1.0, n_bar=1.0, T=0.5))
-    assert got.kind == "teleport"
     assert_allclose(got.value, 1.56767, rtol=0, atol=5e-6)
     ch = evolve_channel(ChannelParams(s_qc=1.0, n_bar=1.0, T=0.5))
     assert_allclose(got.value, ch.gamma - ch.lam, rtol=0, atol=1e-12)
@@ -145,7 +153,6 @@ def test_direct_noise():
     assert direct_noise(0.0, 0.7).value == 0.0
     assert direct_noise(1.5, 1.0).value == 1.5
     got = direct_noise(2.0, 0.3)
-    assert got.kind == "direct"
     assert_allclose(got.value, 0.6, rtol=1e-14)
     with pytest.raises(ConfigurationError):
         direct_noise(-1.0, 0.5)

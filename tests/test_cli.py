@@ -142,6 +142,32 @@ def test_non_finite_channel_parameters_exit_one(capsys):
     assert code == 1
 
 
+def test_non_finite_ntau_names_the_flag(capsys, tmp_path):
+    for argv in (
+        ["teleport-export", "--state", "fock:1", "--ntau", "nan", "--out", str(tmp_path)],
+        ["fidelity-table", "--state", "fock:1", "--ntau", "nan"],
+        ["fidelity-table", "--state", "fock:1", "--ntau", "0:inf:3"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "--ntau" in err and "finite" in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_sizes_are_bounded(capsys):
+    for argv, flag in (
+        (["fidelity-table", "--state", "fock:1", "--ntau", "0.5", "--grid-res", "2049"], "--grid-res"),
+        (["fidelity-table", "--state", "fock:1", "--ntau", "0.5", "--grid-res", "256.5"], "--grid-res"),
+        (["fidelity-table", "--state", "fock:1", "--ntau", "0:1:1001"], "--ntau"),
+        (["noise-sweep", "--time", "0:1:1001"], "--time"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert flag in err, err
+
+
 def test_config_values_are_validated(capsys, tmp_path):
     # config-file values pass the same checks as the flags they stand for
     for line in ("level = bogus", "format = yaml", "mutate-kernel = lots"):
@@ -188,9 +214,8 @@ def test_verify_detects_corrupted_kernel(capsys):
     by_line = {int(l.split()[1]): l for l in out.strip().splitlines()[:9]}
     assert "[fail]" in by_line[4]
     # and the mutation does not leak into later runs
-    from cvteleport import teleport
-
-    assert teleport._kernel_mutation == 0.0
+    code, _, _ = _run(capsys, ["verify", "quick"])
+    assert code == 0
 
 
 def test_teleport_export(capsys, tmp_path):

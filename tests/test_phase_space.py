@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import (
@@ -13,6 +15,7 @@ from cvteleport import (
     WignerGrid,
     band_limit,
     characteristic,
+    coherent_wigner,
     convert_sigma,
     fock_wigner,
     grid_integrate,
@@ -21,6 +24,16 @@ from cvteleport import (
     squeezed_vacuum_wigner,
     vacuum_wigner,
 )
+from cvteleport.phase_space import smooth
+
+_SMOOTH_INPUTS = {
+    "vacuum": vacuum_wigner(resolution=128),
+    "fock 1": fock_wigner(1, resolution=128),
+    "fock 3": fock_wigner(3, resolution=128),
+    "coherent 1+0.5j": coherent_wigner(1.0 + 0.5j, resolution=128),
+    "squeezed 0.7": squeezed_vacuum_wigner(0.7, resolution=128),
+}
+_MAX_VAR = (6.0 / 4.0) ** 2  # the widest kernel the 6.0 extent accepts
 
 
 def test_grid_validation():
@@ -179,3 +192,24 @@ def test_load_grid_rejects_bad_header(tmp_path):
     (tmp_path / "grid.json").write_text('{"sigma": 0.0, "extent": 6.0}\n')
     with pytest.raises(ConfigurationError):
         load_grid(base)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="row-normalized kernels keep constants, not mass: near the edges the "
+    "column sums differ from the trapezoid weights (1e-2 at the widest kernel)",
+)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@example(label="fock 1", var=_MAX_VAR)
+@given(st.sampled_from(sorted(_SMOOTH_INPUTS)), st.floats(0.0, _MAX_VAR))
+def test_smooth_preserves_mass(label, var):
+    g = _SMOOTH_INPUTS[label]
+    assert abs(grid_integrate(smooth(g, var)) - grid_integrate(g)) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, _MAX_VAR), st.floats(-1.0, 1.0))
+def test_smooth_preserves_constants(var, level):
+    g = WignerGrid(sigma=0.0, extent=6.0, resolution=64, values=np.full((64, 64), level))
+    assert_allclose(smooth(g, var).values, level, rtol=0, atol=1e-12)

@@ -1,4 +1,4 @@
-"""Teleportation map: kernel, convolution route, closed forms, protocol integral."""
+"""Teleportation map: convolution route, closed forms, protocol integral."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,12 @@ from cvteleport import (
     ChannelParams,
     ConfigurationError,
     DomainError,
-    NoiseFactor,
-    TeleportKernel,
     WignerGrid,
     coherent_wigner,
     convert_sigma,
     evolve_channel,
     fock_wigner,
     grid_integrate,
-    kernel_value,
     measurement_density,
     noise_factor,
     protocol_oracle,
@@ -28,27 +25,7 @@ from cvteleport import (
     two_mode_squeezed_vacuum,
     vacuum_wigner,
 )
-from cvteleport.teleport import set_kernel_mutation
-
-
-def test_kernel_value():
-    k = TeleportKernel(n_tau=NoiseFactor(value=0.5))
-    assert_allclose(kernel_value(k, 0.0), 1.0 / (0.5 * np.pi), rtol=1e-14)
-    assert_allclose(kernel_value(TeleportKernel(1.0), 1.0j), np.exp(-1.0) / np.pi, rtol=1e-14)
-    assert isinstance(TeleportKernel(0.5).n_tau, NoiseFactor)
-
-
-def test_kernel_rejects_nonpositive_width():
-    with pytest.raises(DomainError):
-        kernel_value(TeleportKernel(NoiseFactor(value=0.0)), 0.0)
-
-
-def test_kernel_plane_integral():
-    ax = np.linspace(-7.0, 7.0, 281)
-    x, y = np.meshgrid(ax, ax, indexing="ij")
-    vals = kernel_value(TeleportKernel(0.7), x + 1j * y)
-    mass = np.trapezoid(np.trapezoid(vals, ax, axis=1), ax)
-    assert_allclose(mass, 1.0, rtol=0, atol=1e-9)
+from cvteleport.verify import criterion_4
 
 
 def test_teleport_state_zero_noise_is_identity():
@@ -104,6 +81,13 @@ def test_teleported_fock_matches_convolution():
         conv = teleport_state(fock_wigner(m), n)
         closed = teleported_fock_wigner(m, n)
         assert_allclose(closed.values, conv.values, rtol=0, atol=1e-6)
+
+
+def test_teleported_fock_envelope_matches_convolution():
+    for m, n in ((0, 0.0), (1, 0.5), (3, 0.8812)):
+        conv = teleport_state(fock_wigner(m), n)
+        closed = teleported_fock_wigner(m, n)
+        assert_allclose(conv.envelope, closed.envelope, rtol=0, atol=1e-12)
 
 
 def test_teleported_fock_zero_noise():
@@ -233,13 +217,13 @@ def test_measurement_density_displaced_input_shifts_one_readout():
 
 
 def test_kernel_mutation_hook_breaks_oracle_agreement():
+    # verify --mutate-kernel 0.05 teleports at n_tau * 1.05
     g = fock_wigner(1)
     closed = teleported_fock_wigner(1, 0.5)
-    try:
-        set_kernel_mutation(0.05)
-        corrupted = teleport_state(g, 0.5)
-        assert np.abs(corrupted.values - closed.values).max() > 1e-3
-    finally:
-        set_kernel_mutation(0.0)
+    corrupted = teleport_state(g, 0.5 * (1.0 + 0.05))
+    assert np.abs(corrupted.values - closed.values).max() > 1e-3
     clean = teleport_state(g, 0.5)
     assert np.abs(clean.values - closed.values).max() <= 1e-6
+    ok, detail = criterion_4(kernel_mutation=0.05)
+    assert not ok and detail.startswith("fock 1, n_tau=0.5")
+    assert criterion_4()[0]
