@@ -368,17 +368,24 @@ def _maybe_round(x):
     return None if x is None else _round12(x)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key=value file supplying flag defaults")
-    sub.add_argument("--squeezing", help="channel squeezing s_qc (VALUE or START:STOP:STEPS)")
-    sub.add_argument("--nbar", help="bath mean occupation (VALUE or START:STOP:STEPS)")
-    sub.add_argument("--time", help="renormalized time T in [0,1] (VALUE or START:STOP:STEPS)")
-    sub.add_argument("--ntau", help="teleportation noise directly (VALUE or START:STOP:STEPS)")
-    sub.add_argument("--state", help="vacuum | fock:m | squeezed:s_o | coherent:re,im")
-    sub.add_argument("--grid-extent", dest="grid_extent", help="phase-space half-width")
-    sub.add_argument("--grid-res", dest="grid_res", help="grid points per axis")
-    sub.add_argument("--out", help="output path (relative paths land in $CVTELEPORT_OUTDIR)")
-    sub.add_argument("--format", help="csv or json (tables), text or json (verify)")
+# each subcommand registers only the flags it reads
+_FLAG_HELP = {
+    "--config": "flat key=value file supplying flag defaults",
+    "--squeezing": "channel squeezing s_qc (VALUE or START:STOP:STEPS)",
+    "--nbar": "bath mean occupation (VALUE or START:STOP:STEPS)",
+    "--time": "renormalized time T in [0,1] (VALUE or START:STOP:STEPS)",
+    "--ntau": "teleportation noise directly (VALUE or START:STOP:STEPS)",
+    "--state": "vacuum | fock:m | squeezed:s_o | coherent:re,im",
+    "--grid-extent": "phase-space half-width",
+    "--grid-res": "grid points per axis",
+    "--out": "output path (relative paths land in $CVTELEPORT_OUTDIR)",
+    "--format": "csv or json (tables), text or json (verify)",
+}
+
+
+def _add_flags(sub, *flags):
+    for flag in flags:
+        sub.add_argument(flag, help=_FLAG_HELP[flag])
 
 
 def build_parser() -> _Parser:
@@ -386,21 +393,21 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sweep = commands.add_parser("noise-sweep", help="tabulate noise factor, gap, separability")
-    _add_common(sweep)
+    _add_flags(sweep, "--config", "--squeezing", "--nbar", "--time", "--out", "--format")
     sweep.set_defaults(func=cmd_noise_sweep)
 
     table = commands.add_parser("fidelity-table", help="closed-form vs grid fidelity")
-    _add_common(table)
+    _add_flags(table, *_FLAG_HELP)
     table.set_defaults(func=cmd_fidelity_table)
 
     verify = commands.add_parser("verify", help="run the acceptance checks")
     verify.add_argument("level", nargs="?", choices=VERIFY_LEVELS, default=None)
     verify.add_argument("--mutate-kernel", dest="mutate_kernel", help=argparse.SUPPRESS)
-    _add_common(verify)
+    _add_flags(verify, "--config", "--out", "--format")
     verify.set_defaults(func=cmd_verify)
 
     export = commands.add_parser("teleport-export", help="write input/teleported grids + report")
-    _add_common(export)
+    _add_flags(export, *(flag for flag in _FLAG_HELP if flag != "--format"))
     export.set_defaults(func=cmd_teleport_export)
 
     return parser

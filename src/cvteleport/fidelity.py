@@ -21,18 +21,14 @@ from .errors import ConfigurationError, DomainError
 from .numerics import integrate_2d
 from .phase_space import WignerGrid
 
-_METHODS = ("overlap-grid", "fock-closed-form", "squeezed-closed-form")
 _RESCALE = 2.0**300
 
 
 @dataclass(frozen=True)
 class FidelityReport:
     value: float
-    method: str
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigurationError(f"unknown fidelity method {self.method!r}")
         if not -1e-9 <= self.value <= 1.0 + 1e-9:
             raise DomainError(f"fidelity {self.value} outside [0, 1]")
         object.__setattr__(self, "value", min(max(float(self.value), 0.0), 1.0))
@@ -57,7 +53,7 @@ def overlap_fidelity(w_o: WignerGrid, w_r: WignerGrid) -> FidelityReport:
     if not w_o.pure_origin:
         raise ConfigurationError("the reference state must be pure for overlap fidelity")
     val = np.pi * integrate_2d(w_o.values * w_r.values, w_o.axes())
-    return FidelityReport(value=val, method="overlap-grid")
+    return FidelityReport(value=val)
 
 
 def fock_fidelity(m: int, n_tau) -> FidelityReport:
@@ -83,7 +79,7 @@ def fock_fidelity(m: int, n_tau) -> FidelityReport:
             t, s1, s2 = t / _RESCALE, s1 / _RESCALE, s2 / _RESCALE**2
         s1 += t
         s2 += t * t
-    return FidelityReport(value=s2 / (s1 * s1 * (1.0 + n)), method="fock-closed-form")
+    return FidelityReport(value=s2 / (s1 * s1 * (1.0 + n)))
 
 
 def squeezed_fidelity(s_o: float, n_tau) -> FidelityReport:
@@ -93,4 +89,4 @@ def squeezed_fidelity(s_o: float, n_tau) -> FidelityReport:
     """
     n = as_noise(n_tau)
     val = 1.0 / sqrt(n**2 + 2.0 * n * cosh(2.0 * s_o) + 1.0)
-    return FidelityReport(value=val, method="squeezed-closed-form")
+    return FidelityReport(value=val)

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import as_noise
 from .errors import ConfigurationError, DomainError, UnsupportedDeconvolutionError
 from .numerics import trapezoid_weights
-from .phase_space import GaussianOneMode, WignerGrid, smooth
+from .phase_space import WignerGrid, smooth
 from .teleport import teleport_state
 
 _VAR_SLOP = 1e-6
@@ -59,26 +59,10 @@ class QuadratureStats:
         object.__setattr__(self, "variance", max(0.0, float(self.variance)))
 
 
-def _axis_moments(mean: float, var: float) -> np.ndarray:
-    """E[x^p], p <= MAX_MOMENT_ORDER, of a normal variable, by the recurrence
-    E[x^p] = mean E[x^(p-1)] + (p-1) var E[x^(p-2)]."""
-    out = np.zeros(MAX_MOMENT_ORDER + 1)
-    out[0] = 1.0
-    out[1] = mean
-    for p in range(2, MAX_MOMENT_ORDER + 1):
-        out[p] = mean * out[p - 1] + (p - 1) * var * out[p - 2]
-    return out
-
-
-def _raw_moments(g) -> np.ndarray:
-    """raw[p, q] = Int x^p y^q R(x + iy) dx dy for p, q <= MAX_MOMENT_ORDER.
-
-    Grids use the trapezoid rule as one product V R V^T with
-    V[p, i] = x_i^p w_i; axis-aligned Gaussians use their closed form.
+def _raw_moments(g: WignerGrid) -> np.ndarray:
+    """raw[p, q] = Int x^p y^q R(x + iy) dx dy for p, q <= MAX_MOMENT_ORDER,
+    by the trapezoid rule as one product V R V^T with V[p, i] = x_i^p w_i.
     """
-    if isinstance(g, GaussianOneMode):
-        m = complex(g.mean)
-        return np.outer(_axis_moments(m.real, g.var_r), _axis_moments(m.imag, g.var_i))
     if not isinstance(g, WignerGrid):
         raise ConfigurationError(f"cannot take moments of {type(g).__name__}")
     powers = g.axes() ** np.arange(MAX_MOMENT_ORDER + 1)[:, None]

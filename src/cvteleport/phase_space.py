@@ -5,10 +5,10 @@ the normally-ordered (P) function, sigma = 0 the symmetrically-ordered
 (Wigner) function and sigma = -1 the antinormally-ordered (Q) function.
 Moving from sigma to a smaller sigma' convolves with the Gaussian kernel
 
-    K(d) = 2 / (pi (sigma - sigma')) * exp(-2 |d|^2 / (sigma - sigma')),
+    K(d) = 2 / (pi (sigma - sigma')) * exp(-2 |d|^2 / (sigma - sigma')).
 
-so on sampled grids only decreasing sigma is supported; the analytic
-Gaussian path works in both directions while the variances stay positive.
+Every representation is sampled on a :class:`WignerGrid`, so only
+decreasing sigma is supported; deconvolving sampled data is ill-posed.
 The phase-space measure is d^2 alpha = d(alpha_r) d(alpha_i).
 """
 
@@ -85,6 +85,21 @@ class WignerGrid:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "resolution", int(self.resolution))
 
+    @classmethod
+    def from_profile(cls, profile, envelope, extent, resolution, pure=True) -> WignerGrid:
+        """Wigner grid (sigma = 0) sampled from ``profile``, which stays attached."""
+        ax = np.linspace(-extent, extent, resolution)
+        x, y = np.meshgrid(ax, ax, indexing="ij")
+        return cls(
+            sigma=0.0,
+            extent=float(extent),
+            resolution=int(resolution),
+            values=profile(x, y),
+            profile=profile,
+            envelope=envelope,
+            pure_origin=pure,
+        )
+
     def axes(self) -> np.ndarray:
         return np.linspace(-self.extent, self.extent, self.resolution)
 
@@ -108,7 +123,9 @@ class WignerGrid:
 
     def sample(self, x, y):
         """Evaluate the distribution at arbitrary points, exactly when a
-        profile is attached, by quintic spline interpolation otherwise."""
+        profile is attached, by quintic spline interpolation otherwise.  Both
+        routes broadcast ``x`` against ``y``: profiles are numpy expressions, and
+        ``RectBivariateSpline(..., grid=False)`` obeys numpy broadcasting."""
         if self.profile is not None:
             return self.profile(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return self._interpolator()(x, y, grid=False)
@@ -118,32 +135,6 @@ class WignerGrid:
         if max(abs(a.real), abs(a.imag)) > self.extent:
             raise DomainError(f"point {a} lies outside the grid extent {self.extent}")
         return float(self.sample(a.real, a.imag))
-
-
-@dataclass(frozen=True)
-class GaussianOneMode:
-    """Axis-aligned Gaussian quasiprobability of a single mode.
-
-    ``var_r`` and ``var_i`` are the principal variances along the real and
-    imaginary quadrature axes at ordering label ``sigma``.
-    """
-
-    mean: complex
-    var_r: float
-    var_i: float
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.var_r <= 0 or self.var_i <= 0:
-            raise ConfigurationError("Gaussian variances must be positive")
-
-    def value(self, x, y):
-        m = complex(self.mean)
-        norm = 1.0 / (2.0 * np.pi * np.sqrt(self.var_r * self.var_i))
-        return norm * np.exp(
-            -((np.asarray(x) - m.real) ** 2) / (2 * self.var_r)
-            - ((np.asarray(y) - m.imag) ** 2) / (2 * self.var_i)
-        )
 
 
 def band_limit(g: WignerGrid) -> float:
@@ -201,28 +192,18 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
     )
 
 
-def convert_sigma(g, sigma_to: float):
-    """Convert a quasiprobability to a lower ordering label.
+def convert_sigma(g: WignerGrid, sigma_to: float) -> WignerGrid:
+    """Convert a quasiprobability grid to a lower ordering label.
 
     Grids only support decreasing sigma (Gaussian smoothing); asking for a
     higher label raises, since deconvolution of sampled data is ill-posed.
-    ``GaussianOneMode`` inputs convert analytically in either direction as
-    long as the target variances stay positive.
     """
-    if isinstance(g, GaussianOneMode):
-        shift = (g.sigma - sigma_to) / 4.0
-        var_r, var_i = g.var_r + shift, g.var_i + shift
-        if var_r <= 0 or var_i <= 0:
-            raise DomainError(
-                f"target sigma {sigma_to} would need a Gaussian of non-positive variance"
-            )
-        return GaussianOneMode(mean=g.mean, var_r=var_r, var_i=var_i, sigma=sigma_to)
     if not isinstance(g, WignerGrid):
         raise ConfigurationError(f"cannot convert object of type {type(g).__name__}")
     if sigma_to > g.sigma:
         raise UnsupportedDeconvolutionError(
             f"cannot raise sigma from {g.sigma} to {sigma_to} on a sampled grid; "
-            "deconvolution is ill-posed, use the Gaussian analytic path"
+            "deconvolution is ill-posed"
         )
     s = g.sigma - sigma_to
     if s == 0.0:
@@ -230,19 +211,13 @@ def convert_sigma(g, sigma_to: float):
     return replace(smooth(g, s / 4.0), sigma=sigma_to)
 
 
-def characteristic(g, xi):
+def characteristic(g: WignerGrid, xi):
     """Characteristic function C(xi) = Int d^2a exp(xi a* - xi* a) R(a).
 
-    Accepts a complex scalar or array ``xi``.  Grid inputs are integrated
-    by the trapezoid rule and must stay inside the grid band limit;
-    ``GaussianOneMode`` inputs use the closed form.
+    Accepts a complex scalar or array ``xi``.  The grid is integrated by the
+    trapezoid rule, and ``xi`` must stay inside the grid band limit.
     """
     xi_arr = np.asarray(xi, dtype=complex)
-    if isinstance(g, GaussianOneMode):
-        m = complex(g.mean)
-        lin = xi_arr * np.conj(m) - np.conj(xi_arr) * m
-        out = np.exp(lin - 2.0 * (g.var_r * xi_arr.imag**2 + g.var_i * xi_arr.real**2))
-        return out if out.ndim else complex(out)
     if not isinstance(g, WignerGrid):
         raise ConfigurationError(f"cannot evaluate characteristic of {type(g).__name__}")
     if np.any(np.abs(xi_arr) > band_limit(g)):

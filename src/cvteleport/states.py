@@ -45,12 +45,6 @@ class GaussianTwoMode:
     def norm(self) -> float:
         return 4.0 / (np.pi**2 * (self.gamma**2 - self.lam**2))
 
-    @property
-    def mean_photon_number(self) -> float:
-        """Total mean photon number over both modes (2 sinh^2 s for a pure
-        two-mode squeezed vacuum)."""
-        return self.gamma - 1.0
-
     def wigner(self, alpha_b, alpha_c):
         ab = np.asarray(alpha_b, dtype=complex)
         ac = np.asarray(alpha_c, dtype=complex)
@@ -80,20 +74,6 @@ def two_mode_squeezed_vacuum(s_qc: float) -> GaussianTwoMode:
     return GaussianTwoMode(gamma=np.cosh(2.0 * s_qc), lam=np.sinh(2.0 * s_qc))
 
 
-def _make_grid(profile, envelope, extent, resolution, pure=True) -> WignerGrid:
-    ax = np.linspace(-extent, extent, resolution)
-    x, y = np.meshgrid(ax, ax, indexing="ij")
-    return WignerGrid(
-        sigma=0.0,
-        extent=float(extent),
-        resolution=int(resolution),
-        values=profile(x, y),
-        profile=profile,
-        envelope=envelope,
-        pure_origin=pure,
-    )
-
-
 def fock_wigner(
     m: int, extent: float = DEFAULT_EXTENT, resolution: int = DEFAULT_RESOLUTION
 ) -> WignerGrid:
@@ -109,7 +89,7 @@ def fock_wigner(
         r2 = x**2 + y**2
         return (2.0 / np.pi) * (-1.0) ** m * np.exp(-2.0 * r2) * laguerre(m, 4.0 * r2)
 
-    return _make_grid(profile, (0.0, 0.0, 2.0, 2.0), extent, resolution)
+    return WignerGrid.from_profile(profile, (0.0, 0.0, 2.0, 2.0), extent, resolution)
 
 
 def squeezed_vacuum_wigner(
@@ -130,7 +110,7 @@ def squeezed_vacuum_wigner(
     def profile(x, y):
         return (2.0 / np.pi) * np.exp(-kx * x**2 - ky * y**2)
 
-    return _make_grid(profile, (0.0, 0.0, kx, ky), extent, resolution)
+    return WignerGrid.from_profile(profile, (0.0, 0.0, kx, ky), extent, resolution)
 
 
 def coherent_wigner(
@@ -146,7 +126,7 @@ def coherent_wigner(
     def profile(x, y):
         return (2.0 / np.pi) * np.exp(-2.0 * ((x - mu.real) ** 2 + (y - mu.imag) ** 2))
 
-    return _make_grid(profile, (mu.real, mu.imag, 2.0, 2.0), extent, resolution)
+    return WignerGrid.from_profile(profile, (mu.real, mu.imag, 2.0, 2.0), extent, resolution)
 
 
 def vacuum_wigner(

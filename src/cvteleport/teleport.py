@@ -22,7 +22,7 @@ from .channel import as_noise
 from .errors import ConfigurationError
 from .numerics import gauss_hermite, laguerre
 from .phase_space import DEFAULT_EXTENT, DEFAULT_RESOLUTION, WignerGrid, smooth
-from .states import GaussianTwoMode, _make_grid
+from .states import GaussianTwoMode
 
 ORACLE_ORDER = 40
 
@@ -92,7 +92,9 @@ def teleported_fock_wigner(
             )
 
     k_env = 2.0 / (twon + 1.0)
-    return _make_grid(profile, (0.0, 0.0, k_env, k_env), extent, resolution, pure=(n == 0.0))
+    return WignerGrid.from_profile(
+        profile, (0.0, 0.0, k_env, k_env), extent, resolution, pure=(n == 0.0)
+    )
 
 
 def teleported_squeezed_wigner(
@@ -119,7 +121,7 @@ def teleported_squeezed_wigner(
     def profile(x, y):
         return pref * np.exp(-2.0 * x**2 / a_plus - 2.0 * y**2 / a_minus)
 
-    return _make_grid(
+    return WignerGrid.from_profile(
         profile,
         (0.0, 0.0, 2.0 / a_plus, 2.0 / a_minus),
         extent,
@@ -131,6 +133,21 @@ def teleported_squeezed_wigner(
 def _channel_coeffs(ch: GaussianTwoMode):
     det = ch.gamma**2 - ch.lam**2
     return 2.0 * ch.gamma / det, 2.0 * ch.lam / det
+
+
+def _envelope(w_o: WignerGrid):
+    return w_o.envelope if w_o.envelope is not None else (0.0, 0.0, 2.0, 2.0)
+
+
+def _centred_nodes(rule, a, p, b, c):
+    """Gauss-Hermite nodes and weights for Int exp(-a (t-p)^2) f(t) dt, one row
+    per entry of p: the nodes sit under that Gaussian times the input envelope
+    exp(-b (t-c)^2), and the weights carry the known Gaussian."""
+    rho = a + b
+    m = (a * p + b * c) / rho
+    t = m[:, None] + rule.nodes[None, :] / np.sqrt(rho)  # (len(p), q)
+    res = np.exp(rho * (t - m[:, None]) ** 2 - a * (t - p[:, None]) ** 2)
+    return t, rule.weights[None, :] * res / np.sqrt(rho)
 
 
 def protocol_oracle(
@@ -160,40 +177,24 @@ def protocol_oracle(
     resolution = w_o.resolution if resolution is None else int(resolution)
     a, b = _channel_coeffs(ch)
     rule = gauss_hermite(order)
-    nodes, wts = rule.nodes, rule.weights
 
     # the two displacement-conjugate dimensions hold pure Gaussians
-    sum_s = wts.sum() / np.sqrt(2.0 * (a - b))
+    sum_s = rule.weights.sum() / np.sqrt(2.0 * (a - b))
     k_ker = 0.5 * (a + b)
 
-    cx, cy, kx, ky = w_o.envelope if w_o.envelope is not None else (0.0, 0.0, 2.0, 2.0)
+    cx, cy, kx, ky = _envelope(w_o)
     ax_out = np.linspace(-extent, extent, resolution)
-
-    rho_x = k_ker + kx
-    rho_y = k_ker + ky
-    mx = (k_ker * ax_out + kx * cx) / rho_x
-    my = (k_ker * ax_out + ky * cy) / rho_y
-    xo = mx[:, None] + nodes[None, :] / np.sqrt(rho_x)  # (res, q)
-    yo = my[:, None] + nodes[None, :] / np.sqrt(rho_y)
-    res_x = np.exp(rho_x * (xo - mx[:, None]) ** 2 - k_ker * (xo - ax_out[:, None]) ** 2)
-    res_y = np.exp(rho_y * (yo - my[:, None]) ** 2 - k_ker * (yo - ax_out[:, None]) ** 2)
-    wx = wts[None, :] * res_x / np.sqrt(rho_x)
-    wy = wts[None, :] * res_y / np.sqrt(rho_y)
+    xo, wx = _centred_nodes(rule, k_ker, ax_out, kx, cx)  # (res, q)
+    yo, wy = _centred_nodes(rule, k_ker, ax_out, ky, cy)
 
     pref = ch.norm * sum_s**2
     out = np.empty((resolution, resolution))
-    q = order
-    chunk = max(1, int(4e6 // (q * q * resolution)))
+    chunk = max(1, int(4e6 // (order * order * resolution)))
     for lo in range(0, resolution, chunk):
         hi = min(lo + chunk, resolution)
         wo_vals = w_o.sample(
             xo[lo:hi][:, :, None, None], yo[None, None, :, :]
         )  # (chunk, q, res, q)
-        if wo_vals.ndim != 4:  # spline fallback loses broadcasting
-            xb, yb = np.broadcast_arrays(
-                xo[lo:hi][:, :, None, None], yo[None, None, :, :]
-            )
-            wo_vals = w_o.sample(xb.ravel(), yb.ravel()).reshape(xb.shape)
         out[lo:hi] = pref * np.einsum("rkil,rk,il->ri", wo_vals, wx[lo:hi], wy)
     return WignerGrid(
         sigma=0.0,
@@ -228,27 +229,15 @@ def measurement_density(
     er = er.ravel()
     a, b = _channel_coeffs(ch)
     rule = gauss_hermite(order)
-    nodes, wts = rule.nodes, rule.weights
-    sum_c = wts.sum() / np.sqrt(a)  # unread channel quadratures
+    sum_c = rule.weights.sum() / np.sqrt(a)  # unread channel quadratures
     c_ch = (a**2 - b**2) / (2.0 * a)  # background curvature left on the splitter mode
 
-    cx, cy, kx, ky = w_o.envelope if w_o.envelope is not None else (0.0, 0.0, 2.0, 2.0)
-    rho_d = c_ch + 0.5 * kx
-    rho_e = c_ch + 0.5 * ky
-    md = (c_ch * (-er) + 0.5 * kx * (er + np.sqrt(2.0) * cx)) / rho_d
-    me = (c_ch * (-di) + 0.5 * ky * (di - np.sqrt(2.0) * cy)) / rho_e
-    dn = md[:, None] + nodes[None, :] / np.sqrt(rho_d)  # (np, q)
-    en = me[:, None] + nodes[None, :] / np.sqrt(rho_e)
-    res_d = np.exp(rho_d * (dn - md[:, None]) ** 2 - c_ch * (dn + er[:, None]) ** 2)
-    res_e = np.exp(rho_e * (en - me[:, None]) ** 2 - c_ch * (en + di[:, None]) ** 2)
-    wd = wts[None, :] * res_d / np.sqrt(rho_d)
-    we = wts[None, :] * res_e / np.sqrt(rho_e)
+    cx, cy, kx, ky = _envelope(w_o)
+    dn, wd = _centred_nodes(rule, c_ch, -er, 0.5 * kx, er + np.sqrt(2.0) * cx)  # (np, q)
+    en, we = _centred_nodes(rule, c_ch, -di, 0.5 * ky, di - np.sqrt(2.0) * cy)
     x_o = (dn - er[:, None]) / np.sqrt(2.0)  # (np, q)
     y_o = (di[:, None] - en) / np.sqrt(2.0)
     wo_vals = w_o.sample(x_o[:, :, None], y_o[:, None, :])
-    if wo_vals.ndim != 3:
-        xb, yb = np.broadcast_arrays(x_o[:, :, None], y_o[:, None, :])
-        wo_vals = w_o.sample(xb.ravel(), yb.ravel()).reshape(xb.shape)
     out = ch.norm * sum_c**2 * np.einsum("pkl,pk,pl->p", wo_vals, wd, we)
     out = out.reshape(shape)
     return out if out.ndim else float(out)

@@ -133,6 +133,25 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["noise-sweep", "--ntau", "5", "--state", "fock:99", "--grid-res", "99999",
+         "--grid-extent", "-3"],
+        ["fidelity-table", "--state", "fock:1", "--ntau", "0.5", "--mutate-kernel", "0.05"],
+        ["verify", "quick", "--state", "vacuum"],
+        ["teleport-export", "--ntau", "0.3", "--format", "yaml"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_channel_parameters_exit_one(capsys):
     code, out, err = _run(capsys, ["noise-sweep", "--squeezing", "nan", "--nbar", "0", "--time", "0.5"])
     assert code == 1

@@ -12,7 +12,6 @@ from cvteleport import (
     AccuracyError,
     ConfigurationError,
     DomainError,
-    GaussianOneMode,
     PhotonStats,
     QuadratureStats,
     UnsupportedDeconvolutionError,
@@ -80,7 +79,6 @@ _ORACLE_STATES = {
     "squeezed0.5": lambda: squeezed_vacuum_wigner(0.5),
     "coherent": lambda: coherent_wigner(-0.8 + 0.3j),
     "q_grid_fock1": lambda: convert_sigma(fock_wigner(1), -1.0),
-    "gaussian_one_mode": lambda: GaussianOneMode(mean=0.3 - 0.2j, var_r=0.4, var_i=0.9),
 }
 
 

@@ -1,5 +1,7 @@
 """Quasiprobability grids, ordering conversions and characteristic functions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,6 @@ from cvteleport import (
     AccuracyError,
     ConfigurationError,
     DomainError,
-    GaussianOneMode,
     UnsupportedDeconvolutionError,
     WignerGrid,
     band_limit,
@@ -74,6 +75,18 @@ def test_spline_sampling_matches_profile():
     assert_allclose(bare.sample(*pts), g.sample(*pts), rtol=0, atol=1e-9)
 
 
+def test_sample_broadcasts_on_both_routes():
+    g = fock_wigner(1, 6.0, 96)
+    bare = replace(g, profile=None)
+    x = np.linspace(-2.5, 2.5, 7)[:, None]
+    y = np.linspace(-1.9, 3.1, 5)[None, :]
+    shape = np.broadcast(x, y).shape
+    want = g.sample(x, y)
+    got = bare.sample(x, y)
+    assert want.shape == shape and got.shape == shape
+    assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
 def test_convert_sigma_vacuum_to_q():
     q = convert_sigma(vacuum_wigner(), -1.0)
     assert q.sigma == -1.0
@@ -108,16 +121,6 @@ def test_convert_sigma_semigroup():
 def test_convert_sigma_rejects_deconvolution_on_grids():
     with pytest.raises(UnsupportedDeconvolutionError):
         convert_sigma(vacuum_wigner(), 0.5)
-
-
-def test_convert_sigma_gaussian_analytic_both_ways():
-    vac = GaussianOneMode(mean=0.0, var_r=0.25, var_i=0.25, sigma=0.0)
-    q = convert_sigma(vac, -1.0)
-    assert_allclose((q.var_r, q.var_i), (0.5, 0.5))
-    p_back = convert_sigma(q, 0.0)
-    assert_allclose((p_back.var_r, p_back.var_i), (0.25, 0.25))
-    with pytest.raises(DomainError):
-        convert_sigma(vac, 1.0)  # vacuum P function is a delta
 
 
 def test_conversion_mass_preserved():
@@ -159,18 +162,13 @@ def test_characteristic_band_limit():
 
 
 def test_characteristic_gaussian_closed_form():
-    sq = GaussianOneMode(mean=0.5 + 0.2j, var_r=0.1, var_i=0.6, sigma=0.0)
-    xi = 0.4 - 0.7j
-    lin = xi * np.conj(sq.mean) - np.conj(xi) * sq.mean
-    want = np.exp(lin - 2.0 * (0.1 * xi.imag**2 + 0.6 * xi.real**2))
-    assert_allclose(characteristic(sq, xi), want, rtol=1e-12)
-    # grid route agrees with the closed form for a squeezed vacuum
+    # squeezed vacuum: quadrature variances e^{-2s}/4 and e^{2s}/4, so
+    # C(xi) = exp(-2 (var_r Im(xi)^2 + var_i Re(xi)^2))
     g = squeezed_vacuum_wigner(0.5)
-    gauss = GaussianOneMode(
-        mean=0.0, var_r=np.exp(-1.0) / 4.0, var_i=np.exp(1.0) / 4.0, sigma=0.0
-    )
+    var_r, var_i = np.exp(-1.0) / 4.0, np.exp(1.0) / 4.0
     pts = np.array([0.3 + 0.1j, -0.8j, 1.2 - 0.5j])
-    assert_allclose(characteristic(g, pts), characteristic(gauss, pts), rtol=0, atol=1e-6)
+    want = np.exp(-2.0 * (var_r * pts.imag**2 + var_i * pts.real**2))
+    assert_allclose(characteristic(g, pts), want, rtol=0, atol=1e-6)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -24,7 +24,6 @@ def test_two_mode_squeezed_vacuum_values():
     assert_allclose(s.gamma, np.cosh(2.0), rtol=1e-14)
     assert_allclose(s.lam, np.sinh(2.0), rtol=1e-14)
     assert_allclose(s.gamma**2 - s.lam**2, 1.0, rtol=0, atol=1e-12)
-    assert_allclose(s.mean_photon_number, 2.0 * np.sinh(1.0) ** 2, rtol=0, atol=1e-12)
 
 
 def test_two_mode_squeezed_vacuum_purity_identity():

@@ -1,5 +1,7 @@
 """Teleportation map: convolution route, closed forms, protocol integral."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -214,6 +216,18 @@ def test_measurement_density_displaced_input_shifts_one_readout():
     assert_allclose(mass, 1.0, rtol=0, atol=1e-5)
     assert_allclose(mean_di, 0.0, rtol=0, atol=1e-6)
     assert_allclose(mean_er, -1.0 / np.sqrt(2.0), rtol=0, atol=1e-6)
+
+
+def test_measurement_density_spline_route_matches_profile():
+    ch = evolve_channel(ChannelParams(s_qc=0.5, n_bar=0.3, T=0.4))
+    g = fock_wigner(1, 6.0, 96)
+    bare = replace(g, profile=None)
+    di = np.linspace(-2.0, 2.0, 9)[:, None]
+    er = np.linspace(-1.5, 2.5, 7)[None, :]
+    got = measurement_density(bare, ch, di, er)
+    want = measurement_density(g, ch, di, er)
+    assert got.shape == (9, 7)
+    assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 def test_kernel_mutation_hook_breaks_oracle_agreement():
