@@ -3,7 +3,7 @@
 The two modes of the channel couple to independent thermal baths with mean
 occupation ``n_bar`` and damping rate ``gamma``; time enters through the
 renormalized variable T = 1 - exp(-gamma t) in [0, 1].  The Gaussian channel
-state keeps the form of :class:`~cvteleport.states.GaussianTwoMode` with
+state keeps the form of :class:`GaussianTwoMode` with
 
     gamma(T) = T (1 + 2 n_bar) + (1 - T) cosh(2 s_qc)
     lam(T)   = (1 - T) sinh(2 s_qc)
@@ -17,7 +17,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .states import GaussianTwoMode
+
+
+@dataclass(frozen=True)
+class GaussianTwoMode:
+    """Zero-mean two-mode Gaussian Wigner function of the channel state.
+
+    W(a_b, a_c) = norm * exp(-2 gamma (|a_b|^2 + |a_c|^2) / (gamma^2 - lam^2)
+                             + 2 lam (a_b a_c + conj) / (gamma^2 - lam^2))
+
+    ``gamma`` is the common single-mode width parameter, ``lam`` the
+    cross-mode correlation.  Physical channels satisfy gamma >= 1,
+    gamma > |lam| and gamma^2 - lam^2 >= 1.
+    """
+
+    gamma: float
+    lam: float
+
+    def __post_init__(self):
+        for name in ("gamma", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.gamma < 1.0 - 1e-12:
+            raise ConfigurationError(f"gamma must be >= 1, got {self.gamma}")
+        if abs(self.lam) >= self.gamma:
+            raise ConfigurationError("correlation |lam| must be below gamma")
+        if self.gamma**2 - self.lam**2 < 1.0 - 1e-9:
+            raise ConfigurationError("gamma^2 - lam^2 must be >= 1 for a physical state")
+
+    @property
+    def norm(self) -> float:
+        return 4.0 / (np.pi**2 * (self.gamma**2 - self.lam**2))
+
+    def wigner(self, alpha_b, alpha_c):
+        ab = np.asarray(alpha_b, dtype=complex)
+        ac = np.asarray(alpha_c, dtype=complex)
+        det = self.gamma**2 - self.lam**2
+        quad = (
+            -2.0 * self.gamma * (np.abs(ab) ** 2 + np.abs(ac) ** 2)
+            + 4.0 * self.lam * (ab * ac).real
+        ) / det
+        out = self.norm * np.exp(quad)
+        return out if out.ndim else float(out)
+
+    def characteristic(self, xi_b, xi_c):
+        """Two-mode Wigner characteristic function."""
+        xb = np.asarray(xi_b, dtype=complex)
+        xc = np.asarray(xi_c, dtype=complex)
+        out = np.exp(
+            -0.5 * self.gamma * (np.abs(xb) ** 2 + np.abs(xc) ** 2)
+            + self.lam * (xb * xc).real
+        )
+        return out if out.ndim else complex(out)
+
+
+def two_mode_squeezed_vacuum(s_qc: float) -> GaussianTwoMode:
+    """Pure two-mode squeezed vacuum with squeezing parameter s_qc >= 0."""
+    if s_qc < 0:
+        raise DomainError(f"squeezing parameter must be >= 0, got {s_qc}")
+    return GaussianTwoMode(gamma=np.cosh(2.0 * s_qc), lam=np.sinh(2.0 * s_qc))
+
 
 @dataclass(frozen=True)
 class ChannelParams:

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: the Laguerre recurrence, Gauss-Hermite rules,
-and trapezoidal integration over phase-space grids."""
+"""Shared numerical kernels: Gauss-Hermite rules and trapezoidal
+integration over phase-space grids."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 MAX_QUADRATURE_ORDER = 200
 
@@ -20,37 +20,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     order: int
-
-
-def _validate_degree(m) -> int:
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise DomainError(f"polynomial degree must be a nonnegative integer, got {m!r}")
-    return int(m)
-
-
-def laguerre(m: int, x):
-    """Laguerre polynomial L_m(x) via the stable three-term recurrence.
-
-    Parameters
-    ----------
-    m : int
-        Degree, m >= 0.
-    x : float or ndarray
-        Evaluation point(s).
-
-    Returns
-    -------
-    float or ndarray matching the shape of ``x``.
-    """
-    m = _validate_degree(m)
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    if m > 0:
-        prev, cur = out, 1.0 - x
-        for k in range(1, m):
-            prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-        out = cur
-    return out if out.ndim else float(out)
 
 
 def gauss_hermite(order: int) -> QuadratureRule:

@@ -146,18 +146,13 @@ def _blur_matrix(ax: np.ndarray, std: float) -> np.ndarray:
     """Row-normalized 1D Gaussian convolution matrix for node spacing ax.
 
     Row normalization keeps the discrete kernel a partition of unity, so
-    constants are kept (mass only away from the edges) and the delta limit
-    (std -> 0) degrades gracefully to the identity instead of blowing up.
+    constants are kept (mass only away from the edges).  Every row sum is
+    positive, since the diagonal entry is dx / (std sqrt(2 pi)).
     """
     dx = ax[1] - ax[0]
     k = np.exp(-((ax[:, None] - ax[None, :]) ** 2) / (2.0 * std**2))
     k *= dx / (std * np.sqrt(2.0 * np.pi))
-    rows = k.sum(axis=1, keepdims=True)
-    small = rows[:, 0] <= 0
-    if np.any(small):
-        k[small, :] = np.eye(len(ax))[small, :]
-        rows = k.sum(axis=1, keepdims=True)
-    return k / rows
+    return k / k.sum(axis=1, keepdims=True)
 
 
 def smooth(g: WignerGrid, var: float) -> WignerGrid:
@@ -173,10 +168,15 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
         raise AccuracyError(
             f"smoothing kernel width {std:.3g} exceeds what extent {g.extent} can hold"
         )
-    if std == 0.0:
+    ax = g.axes()
+    # the nearest-neighbour tap as _blur_matrix computes it: once it
+    # underflows to 0 (always at var = 0), the kernel is the identity
+    with np.errstate(divide="ignore", over="ignore"):
+        tap = np.exp(-(np.diff(ax).min() ** 2) / (2.0 * std**2))
+    if tap == 0.0:
         values = g.values.copy()
     else:
-        k = _blur_matrix(g.axes(), std)
+        k = _blur_matrix(ax, std)
         values = k @ g.values @ k.T
     envelope = g.envelope
     if envelope is not None:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import GaussianTwoMode
 from .errors import NotSeparableError
 from .numerics import gauss_hermite
-from .states import GaussianTwoMode
 
 RECONSTRUCT_ORDER = 30
 

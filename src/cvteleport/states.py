@@ -1,77 +1,105 @@
-"""Wigner functions of the input states and of the two-mode channel state.
+"""Wigner functions of the input states and of their teleported forms.
 
 All constructors return normalized Wigner grids (sigma = 0) with an exact
 ``profile`` attached, so downstream quadratures can resample them without
-interpolation loss.
+interpolation loss.  Number states and squeezed vacua each have one closed
+form valid for every noise factor n_tau >= 0; the input state is its
+n_tau = 0 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .numerics import laguerre
+from .channel import as_noise
+from .errors import ConfigurationError
 from .phase_space import DEFAULT_EXTENT, DEFAULT_RESOLUTION, WignerGrid
 
 MAX_FOCK = 50
 
 
-@dataclass(frozen=True)
-class GaussianTwoMode:
-    """Zero-mean two-mode Gaussian Wigner function of the channel state.
+def teleported_fock_wigner(
+    m: int,
+    n_tau,
+    extent: float = DEFAULT_EXTENT,
+    resolution: int = DEFAULT_RESOLUTION,
+) -> WignerGrid:
+    """Wigner function of the number state |m> teleported with noise n_tau,
 
-    W(a_b, a_c) = norm * exp(-2 gamma (|a_b|^2 + |a_c|^2) / (gamma^2 - lam^2)
-                             + 2 lam (a_b a_c + conj) / (gamma^2 - lam^2))
+        W_r(a) = (2/pi) exp(-2|a|^2/v) q_m(u, z) / v^{m+1},
+        u = 2n - 1,  v = 2n + 1,  z = -4|a|^2 / v,
 
-    ``gamma`` is the common single-mode width parameter, ``lam`` the
-    cross-mode correlation.  Physical channels satisfy gamma >= 1,
-    gamma > |lam| and gamma^2 - lam^2 >= 1.
+    where q_m(u, z) = u^m L_m(z/u) follows the homogeneous recurrence
+
+        (k+1) q_{k+1} = ((2k+1) u - z) q_k - k u^2 q_{k-1},  q_0 = 1, q_1 = u - z,
+
+    which never divides by u, so n_tau = 1/2 needs no special case.  q_m is
+    homogeneous of degree m, so it runs on (u/v, z/v) and no power of v is
+    formed.  At n_tau = 0 this is (2/pi) (-1)^m exp(-2|a|^2) L_m(4|a|^2).
     """
+    if not isinstance(m, (int, np.integer)) or not 0 <= m <= MAX_FOCK:
+        raise ConfigurationError(f"number-state index must be an integer in [0, {MAX_FOCK}]")
+    m = int(m)
+    n = as_noise(n_tau)
+    v = 2.0 * n + 1.0
+    u = (2.0 * n - 1.0) / v
+    u2 = u * u
+    pref = (2.0 / np.pi) / v
+    c_exp = -2.0 / v
+    c_z = -4.0 / (v * v)
 
-    gamma: float
-    lam: float
+    def profile(x, y):
+        r2 = x**2 + y**2
+        if m == 0:
+            return pref * np.exp(c_exp * r2)
+        z = c_z * r2
+        q_prev, q = 1.0, u - z
+        for k in range(1, m):
+            q_prev, q = q, (((2 * k + 1) * u - z) * q - k * u2 * q_prev) / (k + 1)
+        return pref * np.exp(c_exp * r2) * q
 
-    def __post_init__(self):
-        if self.gamma < 1.0 - 1e-12:
-            raise ConfigurationError(f"gamma must be >= 1, got {self.gamma}")
-        if abs(self.lam) >= self.gamma:
-            raise ConfigurationError("correlation |lam| must be below gamma")
-        if self.gamma**2 - self.lam**2 < 1.0 - 1e-9:
-            raise ConfigurationError("gamma^2 - lam^2 must be >= 1 for a physical state")
+    return WignerGrid.from_profile(
+        profile, (0.0, 0.0, -c_exp, -c_exp), extent, resolution, pure=(n == 0.0)
+    )
 
-    @property
-    def norm(self) -> float:
-        return 4.0 / (np.pi**2 * (self.gamma**2 - self.lam**2))
 
-    def wigner(self, alpha_b, alpha_c):
-        ab = np.asarray(alpha_b, dtype=complex)
-        ac = np.asarray(alpha_c, dtype=complex)
-        det = self.gamma**2 - self.lam**2
-        quad = (
-            -2.0 * self.gamma * (np.abs(ab) ** 2 + np.abs(ac) ** 2)
-            + 4.0 * self.lam * (ab * ac).real
-        ) / det
-        out = self.norm * np.exp(quad)
-        return out if out.ndim else float(out)
+def teleported_squeezed_wigner(
+    s_o: float,
+    n_tau,
+    extent: float = DEFAULT_EXTENT,
+    resolution: int = DEFAULT_RESOLUTION,
+) -> WignerGrid:
+    """Wigner function of a quadrature-squeezed vacuum teleported with noise
+    n_tau,
 
-    def characteristic(self, xi_b, xi_c):
-        """Two-mode Wigner characteristic function."""
-        xb = np.asarray(xi_b, dtype=complex)
-        xc = np.asarray(xi_c, dtype=complex)
-        out = np.exp(
-            -0.5 * self.gamma * (np.abs(xb) ** 2 + np.abs(xc) ** 2)
-            + self.lam * (xb * xc).real
+        W_r(a) = (2/pi) / sqrt(B(s_o) B(-s_o)) exp(-kx a_r^2 - ky a_i^2),
+        kx = 2 e^{2 s_o} / B(s_o),  ky = 2 e^{-2 s_o} / B(-s_o),
+        B(s) = 1 + 2 n_tau e^{2 s}.
+
+    The extent must hold (6 / e^1.5) times the widest axis sqrt(2 / min(kx, ky)).
+    """
+    n = as_noise(n_tau)
+    # sqrt(2 / min(kx, ky)), written so that it is exactly e^|s_o| at n_tau = 0;
+    # it comes before e^{+-2 s_o}, which overflows for squeezings the guard rejects
+    width = np.exp(abs(s_o)) * np.sqrt(1.0 + 2.0 * n * np.exp(-2.0 * abs(s_o)))
+    if not extent >= DEFAULT_EXTENT * width / np.exp(1.5):
+        raise ConfigurationError(
+            f"extent {extent} too small for squeezing {s_o} at noise {n}; grow it as e^|s_o|"
         )
-        return out if out.ndim else complex(out)
+    e_plus = np.exp(2.0 * s_o)
+    e_minus = np.exp(-2.0 * s_o)
+    b_plus = 1.0 + 2.0 * n * e_plus
+    b_minus = 1.0 + 2.0 * n * e_minus
+    kx = 2.0 * e_plus / b_plus
+    ky = 2.0 * e_minus / b_minus
+    pref = (2.0 / np.pi) / np.sqrt(b_plus * b_minus)
 
+    def profile(x, y):
+        return pref * np.exp(-kx * x**2 - ky * y**2)
 
-def two_mode_squeezed_vacuum(s_qc: float) -> GaussianTwoMode:
-    """Pure two-mode squeezed vacuum with squeezing parameter s_qc >= 0."""
-    if s_qc < 0:
-        raise DomainError(f"squeezing parameter must be >= 0, got {s_qc}")
-    return GaussianTwoMode(gamma=np.cosh(2.0 * s_qc), lam=np.sinh(2.0 * s_qc))
+    return WignerGrid.from_profile(
+        profile, (0.0, 0.0, kx, ky), extent, resolution, pure=(n == 0.0)
+    )
 
 
 def fock_wigner(
@@ -81,15 +109,7 @@ def fock_wigner(
 
     W(a) = (2/pi) (-1)^m exp(-2|a|^2) L_m(4|a|^2).
     """
-    if not isinstance(m, (int, np.integer)) or not 0 <= m <= MAX_FOCK:
-        raise ConfigurationError(f"number-state index must be an integer in [0, {MAX_FOCK}]")
-    m = int(m)
-
-    def profile(x, y):
-        r2 = x**2 + y**2
-        return (2.0 / np.pi) * (-1.0) ** m * np.exp(-2.0 * r2) * laguerre(m, 4.0 * r2)
-
-    return WignerGrid.from_profile(profile, (0.0, 0.0, 2.0, 2.0), extent, resolution)
+    return teleported_fock_wigner(m, 0.0, extent, resolution)
 
 
 def squeezed_vacuum_wigner(
@@ -99,18 +119,7 @@ def squeezed_vacuum_wigner(
 
     W(a) = (2/pi) exp(-2 e^{2 s_o} a_r^2 - 2 e^{-2 s_o} a_i^2).
     """
-    width = np.exp(abs(s_o))
-    if extent < DEFAULT_EXTENT * width / np.exp(1.5):
-        raise ConfigurationError(
-            f"extent {extent} too small for squeezing {s_o}; grow it as e^|s_o|"
-        )
-    kx = 2.0 * np.exp(2.0 * s_o)
-    ky = 2.0 * np.exp(-2.0 * s_o)
-
-    def profile(x, y):
-        return (2.0 / np.pi) * np.exp(-kx * x**2 - ky * y**2)
-
-    return WignerGrid.from_profile(profile, (0.0, 0.0, kx, ky), extent, resolution)
+    return teleported_squeezed_wigner(s_o, 0.0, extent, resolution)
 
 
 def coherent_wigner(

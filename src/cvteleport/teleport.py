@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import as_noise
+from .channel import GaussianTwoMode, as_noise
 from .errors import ConfigurationError
-from .numerics import gauss_hermite, laguerre
-from .phase_space import DEFAULT_EXTENT, DEFAULT_RESOLUTION, WignerGrid, smooth
-from .states import GaussianTwoMode
+from .numerics import gauss_hermite
+from .phase_space import WignerGrid, smooth
 
 ORACLE_ORDER = 40
 
@@ -38,96 +37,6 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
     if w_o.sigma != 0.0:
         raise ConfigurationError("teleportation acts on Wigner grids (sigma = 0)")
     return smooth(w_o, n / 2.0)
-
-
-def teleported_fock_wigner(
-    m: int,
-    n_tau,
-    extent: float = DEFAULT_EXTENT,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> WignerGrid:
-    """Closed-form Wigner function of a teleported number state |m>.
-
-    For |2 n_tau - 1| >= 1e-6 the Laguerre form
-
-        W_r(a) = (2/pi) (2n-1)^m / (2n+1)^{m+1} exp(-2|a|^2/(2n+1))
-                 * L_m(-4|a|^2 / ((2n)^2 - 1))
-
-    is used; inside that window it switches to the sum obtained by
-    expanding L_m, which cancels all (2n-1)^{-k} factors analytically:
-
-        W_r(a) = (2/pi) exp(-2|a|^2/(2n+1))
-                 * sum_k  C(m,k) (4|a|^2)^k (2n-1)^{m-k} / (k! (2n+1)^{m+k+1}).
-    """
-    from math import comb, factorial
-
-    if not isinstance(m, (int, np.integer)) or not 0 <= m <= 50:
-        raise ConfigurationError("number-state index must be an integer in [0, 50]")
-    m = int(m)
-    n = as_noise(n_tau)
-    twon = 2.0 * n
-
-    if abs(twon - 1.0) < 1e-6:
-        coeffs = [
-            comb(m, k) * 4.0**k / (factorial(k) * (twon + 1.0) ** (m + k + 1))
-            for k in range(m + 1)
-        ]
-
-        def profile(x, y):
-            r2 = x**2 + y**2
-            acc = np.zeros_like(r2)
-            for k in range(m, -1, -1):
-                acc += coeffs[k] * r2**k * (twon - 1.0) ** (m - k)
-            return (2.0 / np.pi) * np.exp(-2.0 * r2 / (twon + 1.0)) * acc
-
-    else:
-
-        def profile(x, y):
-            r2 = x**2 + y**2
-            pref = (2.0 / np.pi) * (twon - 1.0) ** m / (twon + 1.0) ** (m + 1)
-            return (
-                pref
-                * np.exp(-2.0 * r2 / (twon + 1.0))
-                * laguerre(m, -4.0 * r2 / (twon**2 - 1.0))
-            )
-
-    k_env = 2.0 / (twon + 1.0)
-    return WignerGrid.from_profile(
-        profile, (0.0, 0.0, k_env, k_env), extent, resolution, pure=(n == 0.0)
-    )
-
-
-def teleported_squeezed_wigner(
-    s_o: float,
-    n_tau,
-    extent: float = DEFAULT_EXTENT,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> WignerGrid:
-    """Closed-form Wigner function of a teleported squeezed vacuum,
-
-    W_r(a) = 2 / (pi sqrt(A(s_o) A(-s_o)))
-             * exp(-2 a_r^2 / A(s_o) - 2 a_i^2 / A(-s_o)),
-    A(s) = 2 n_tau + exp(-2 s).
-    """
-    n = as_noise(n_tau)
-    a_plus = 2.0 * n + np.exp(-2.0 * s_o)
-    a_minus = 2.0 * n + np.exp(2.0 * s_o)
-    if extent < 1.34 * np.sqrt(max(a_plus, a_minus)):
-        raise ConfigurationError(
-            f"extent {extent} too small for the teleported widths A = {a_plus:.3g}, {a_minus:.3g}"
-        )
-    pref = 2.0 / (np.pi * np.sqrt(a_plus * a_minus))
-
-    def profile(x, y):
-        return pref * np.exp(-2.0 * x**2 / a_plus - 2.0 * y**2 / a_minus)
-
-    return WignerGrid.from_profile(
-        profile,
-        (0.0, 0.0, 2.0 / a_plus, 2.0 / a_minus),
-        extent,
-        resolution,
-        pure=(n == 0.0),
-    )
 
 
 def _channel_coeffs(ch: GaussianTwoMode):

@@ -34,14 +34,15 @@ from .separability import (
     p_value,
     reconstruct_p,
 )
-from .states import coherent_wigner, fock_wigner, squeezed_vacuum_wigner, vacuum_wigner
-from .teleport import (
-    measurement_density,
-    protocol_oracle,
-    teleport_state,
+from .states import (
+    coherent_wigner,
+    fock_wigner,
+    squeezed_vacuum_wigner,
     teleported_fock_wigner,
     teleported_squeezed_wigner,
+    vacuum_wigner,
 )
+from .teleport import measurement_density, protocol_oracle, teleport_state
 
 _SEED = 20260814
 

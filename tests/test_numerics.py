@@ -1,49 +1,19 @@
-"""Special-function and quadrature primitives."""
+"""Quadrature and grid-integration primitives."""
 
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import eval_laguerre
 
 from cvteleport import (
     ConfigurationError,
-    DomainError,
     fock_wigner,
     gauss_hermite,
     grid_integrate,
-    laguerre,
     vacuum_wigner,
 )
 from cvteleport.phase_space import WignerGrid
-
-
-def test_laguerre_low_orders():
-    assert laguerre(0, 3.7) == 1.0
-    assert laguerre(1, 2.0) == -1.0
-    assert_allclose(laguerre(2, 1.0), -0.5, rtol=0, atol=1e-15)
-
-
-def test_recurrences_match_direct_evaluation():
-    # m <= 5 at 20 random points against the scipy evaluator
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(-4.0, 8.0, size=20)
-    for m in range(6):
-        got_l = np.array([laguerre(m, x) for x in xs])
-        assert_allclose(got_l, eval_laguerre(m, xs), rtol=1e-10, atol=1e-10)
-
-
-def test_laguerre_vectorized_argument():
-    x = np.linspace(0.0, 10.0, 11)
-    assert_allclose(laguerre(3, x), eval_laguerre(3, x), rtol=1e-12)
-
-
-def test_degree_validation():
-    with pytest.raises(DomainError):
-        laguerre(-1, 0.0)
-    with pytest.raises(DomainError):
-        laguerre(2.5, 0.0)
 
 
 def test_gauss_hermite_small_orders():

@@ -1,5 +1,6 @@
 """Quasiprobability grids, ordering conversions and characteristic functions."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -211,3 +212,12 @@ def test_smooth_preserves_mass(label, var):
 def test_smooth_preserves_constants(var, level):
     g = WignerGrid(sigma=0.0, extent=6.0, resolution=64, values=np.full((64, 64), level))
     assert_allclose(smooth(g, var).values, level, rtol=0, atol=1e-12)
+
+
+def test_smooth_identity_kernel_returns_input_silently():
+    # at var = 1e-310 every off-diagonal tap underflows and std**2 is subnormal
+    g = fock_wigner(1, resolution=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = smooth(g, 1e-310)
+    assert np.array_equal(out.values, g.values)

@@ -1,5 +1,7 @@
-"""State constructors and the two-mode Gaussian channel state."""
+"""State constructors, their teleported closed forms, and the two-mode
+Gaussian channel state."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,9 +14,15 @@ from cvteleport import (
     fock_wigner,
     grid_integrate,
     squeezed_vacuum_wigner,
+    teleported_fock_wigner,
+    teleported_squeezed_wigner,
     two_mode_squeezed_vacuum,
     vacuum_wigner,
 )
+
+# noise factors on both sides of n_tau = 1/2, where the Laguerre argument of the
+# teleported number state is singular
+_ORACLE_NTAU = (0.0, 0.06, 0.3, 0.4999995, 0.499999, 0.5, 0.500001, 0.5000011, 0.8812, 1.0, 3.0)
 
 
 def test_two_mode_squeezed_vacuum_values():
@@ -44,6 +52,14 @@ def test_gaussian_two_mode_invariants():
         GaussianTwoMode(gamma=2.0, lam=2.5)
     with pytest.raises(ConfigurationError):
         GaussianTwoMode(gamma=1.2, lam=1.1)  # gamma^2 - lam^2 < 1
+
+
+@pytest.mark.parametrize(
+    "gamma, lam", [(float("nan"), 0.0), (float("inf"), 0.0), (2.0, float("nan"))]
+)
+def test_gaussian_two_mode_rejects_non_finite(gamma, lam):
+    with pytest.raises(ConfigurationError):
+        GaussianTwoMode(gamma=gamma, lam=lam)
 
 
 def test_gaussian_two_mode_norm_and_values():
@@ -104,6 +120,9 @@ def test_squeezed_vacuum_extent_guard():
     with pytest.raises(ConfigurationError):
         squeezed_vacuum_wigner(2.5)  # needs extent > default
     squeezed_vacuum_wigner(2.5, extent=6.0 * np.exp(1.0))  # grown extent is fine
+    for s_o in (400.0, float("inf"), float("nan")):  # rejected before e^{2 s_o} overflows
+        with pytest.raises(ConfigurationError):
+            squeezed_vacuum_wigner(s_o)
 
 
 def test_coherent_wigner():
@@ -118,3 +137,54 @@ def test_coherent_wigner_extent_guard():
     with pytest.raises(ConfigurationError):
         coherent_wigner(4.0, extent=6.0)
     coherent_wigner(4.0, extent=8.0)
+
+
+def _random_points(seed, count=30):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-6.0, 6.0, count), rng.uniform(-6.0, 6.0, count)
+
+
+def _teleported_fock_exact(m, n, x, y):
+    """(2/pi) e^{-2r^2/v} sum_k C(m,k) (4r^2)^k u^{m-k} / (k! v^{m+k+1}) at 60 digits."""
+    with mpmath.workdps(60):
+        n, r2 = mpmath.mpf(n), mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2
+        u, v = 2 * n - 1, 2 * n + 1
+        total = mpmath.fsum(
+            mpmath.binomial(m, k) * (4 * r2) ** k * u ** (m - k)
+            / (mpmath.factorial(k) * v ** (m + k + 1))
+            for k in range(m + 1)
+        )
+        return float(2 / mpmath.pi * mpmath.exp(-2 * r2 / v) * total)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 10, 20, 35, 50])
+def test_teleported_fock_matches_high_precision_sum(m):
+    x, y = _random_points(m)
+    for n in _ORACLE_NTAU:
+        got = teleported_fock_wigner(m, n, resolution=16).profile(x, y)
+        exact = [_teleported_fock_exact(m, n, xi, yi) for xi, yi in zip(x, y)]
+        assert_allclose(got, exact, rtol=0, atol=1e-14, err_msg=f"m={m}, n_tau={n}")
+
+
+def test_teleported_fock_is_finite_beside_half():
+    for n in (0.4999995, 0.5000011):
+        g = teleported_fock_wigner(50, n)
+        assert np.all(np.isfinite(g.values))
+
+
+def test_teleported_squeezed_matches_high_precision_form():
+    x, y = _random_points(99)
+    for s_o in (-0.7, 0.0, 0.5, 1.0):
+        for n in _ORACLE_NTAU:
+            got = teleported_squeezed_wigner(s_o, n, resolution=16).profile(x, y)
+            with mpmath.workdps(60):
+                a_p = 2 * mpmath.mpf(n) + mpmath.exp(-2 * mpmath.mpf(s_o))
+                a_m = 2 * mpmath.mpf(n) + mpmath.exp(2 * mpmath.mpf(s_o))
+                exact = [
+                    float(
+                        2 / (mpmath.pi * mpmath.sqrt(a_p * a_m))
+                        * mpmath.exp(-2 * mpmath.mpf(xi) ** 2 / a_p - 2 * mpmath.mpf(yi) ** 2 / a_m)
+                    )
+                    for xi, yi in zip(x, y)
+                ]
+            assert_allclose(got, exact, rtol=0, atol=1e-14, err_msg=f"s_o={s_o}, n_tau={n}")

@@ -100,8 +100,8 @@ def test_teleported_fock_zero_noise():
 
 
 def test_teleported_fock_regularized_window():
-    # the regularized branch at the singular point n_tau = 1/2 agrees with the
-    # Laguerre branch evaluated symmetrically just outside the switch window
+    # at n_tau = 1/2 (u = 0) the one recurrence agrees with its own values
+    # symmetrically on either side, and |1> has no negativity left there
     inner = teleported_fock_wigner(3, 0.5)
     plus = teleported_fock_wigner(3, 0.5 + 1.2e-6)
     minus = teleported_fock_wigner(3, 0.5 - 1.2e-6)
