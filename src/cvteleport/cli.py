@@ -9,7 +9,7 @@ flag defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -27,17 +27,16 @@ from .nonclassicality import (
     squeezing_threshold,
     sub_poisson_threshold,
 )
-from .phase_space import convert_sigma, save_grid
+from .phase_space import convert_sigma, save_grid, write_text
 from .states import coherent_wigner, fock_wigner, squeezed_vacuum_wigner, vacuum_wigner
 from .teleport import teleport_state
-from .verify import run_all
+from .verify import LEVELS, run_all
 
 OUTDIR_ENV = "CVTELEPORT_OUTDIR"
 
 SWEEP_COLUMNS = ("s_qc", "n_bar", "T", "n_tau", "n_d", "gap", "separable")
 TABLE_COLUMNS = ("n_tau", "f_closed", "f_grid", "abs_delta")
 GRID_TOLERANCE = 1e-4
-VERIFY_LEVELS = ("quick", "full")
 MAX_RESOLUTION = 2048
 MAX_STEPS = 1000
 
@@ -145,36 +144,34 @@ def _resolve_out(path):
     return path
 
 
+def _emit(args, text: str) -> None:
+    """Write ``text`` to the ``--out`` path, or to stdout without one."""
+    out = _resolve_out(args.out)
+    if out:
+        write_text(out, [text])
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_table(args, command, columns, rows):
     fmt = args.format or "csv"
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"--format must be csv or json, got {fmt!r}")
-    out = _resolve_out(args.out)
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        if fmt == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        else:
-            payload = {
-                "command": command,
-                "rows": [
-                    {
-                        col: (v if isinstance(v, bool) else _round12(v))
-                        for col, v in zip(columns, row)
-                    }
-                    for row in rows
-                ],
-            }
-            if command == "fidelity-table":
-                payload["state"] = args.state
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    finally:
-        if out:
-            fh.close()
+    if fmt == "csv":
+        lines = [columns] + [[_fmt(v) for v in row] for row in rows]
+        text = "".join(",".join(cells) + "\r\n" for cells in lines)
+    else:
+        payload = {
+            "command": command,
+            "rows": [
+                {col: (v if isinstance(v, bool) else _round12(v)) for col, v in zip(columns, row)}
+                for row in rows
+            ],
+        }
+        if command == "fidelity-table":
+            payload["state"] = args.state
+        text = json.dumps(payload, indent=2) + "\n"
+    _emit(args, text)
 
 
 def _grid_settings(args):
@@ -190,41 +187,30 @@ def _grid_settings(args):
     return extent, res
 
 
-def cmd_noise_sweep(args) -> int:
+def _channel_points(args):
+    """ChannelParams over the --squeezing x --nbar x --time lattice; each defaults to 0."""
     s_values = _parse_range(args.squeezing or "0", "--squeezing")
     n_values = _parse_range(args.nbar or "0", "--nbar")
     t_values = _parse_range(args.time or "0", "--time")
-    rows = []
-    for s_qc in s_values:
-        for n_bar in n_values:
-            for T in t_values:
-                p = ChannelParams(s_qc=float(s_qc), n_bar=float(n_bar), T=float(T))
-                rows.append(
-                    (
-                        p.s_qc,
-                        p.n_bar,
-                        p.T,
-                        noise_factor(p).value,
-                        direct_noise(p.n_bar, p.T).value,
-                        teleport_vs_direct_gap(p),
-                        is_separable(p),
-                    )
-                )
+    for s_qc, n_bar, T in itertools.product(s_values, n_values, t_values):
+        yield ChannelParams(s_qc=float(s_qc), n_bar=float(n_bar), T=float(T))
+
+
+def cmd_noise_sweep(args) -> int:
+    rows = [
+        (
+            p.s_qc,
+            p.n_bar,
+            p.T,
+            noise_factor(p).value,
+            direct_noise(p.n_bar, p.T).value,
+            teleport_vs_direct_gap(p),
+            is_separable(p),
+        )
+        for p in _channel_points(args)
+    ]
     _emit_table(args, "noise-sweep", SWEEP_COLUMNS, rows)
     return 0
-
-
-def _ntau_values(args):
-    if args.ntau:
-        return [float(v) for v in _parse_range(args.ntau, "--ntau")]
-    values = []
-    for s_qc in _parse_range(args.squeezing or "0", "--squeezing"):
-        for n_bar in _parse_range(args.nbar or "0", "--nbar"):
-            for T in _parse_range(args.time or "0", "--time"):
-                values.append(
-                    noise_factor(ChannelParams(float(s_qc), float(n_bar), float(T))).value
-                )
-    return values
 
 
 def cmd_fidelity_table(args) -> int:
@@ -236,7 +222,10 @@ def cmd_fidelity_table(args) -> int:
             f"fidelity table supports fock:m and squeezed:s_o, got {args.state!r}"
         )
     extent, res = _grid_settings(args)
-    n_values = _ntau_values(args)
+    if args.ntau:
+        n_values = [float(v) for v in _parse_range(args.ntau, "--ntau")]
+    else:
+        n_values = [noise_factor(p).value for p in _channel_points(args)]
     _, w_in = _parse_state(args.state, extent, res)
     rows = []
     for n_tau in n_values:
@@ -257,47 +246,37 @@ def cmd_fidelity_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # level and format may come from a config file, which argparse never sees
+    # level and format may come from a config file; run_all checks the level
     level = args.level or "quick"
-    if level not in VERIFY_LEVELS:
-        raise ConfigurationError(f"level must be one of {VERIFY_LEVELS}, got {level!r}")
     fmt = args.format or "text"
     if fmt not in ("text", "json"):
         raise ConfigurationError(f"--format must be text or json, got {fmt!r}")
-    mutation = _parse_float(args.mutate_kernel, "--mutate-kernel") if args.mutate_kernel else 0.0
-    results = run_all(level=level, kernel_mutation=mutation)
+    results = run_all(level=level)
     all_passed = all(r.passed is not False for r in results)
-    out = _resolve_out(args.out)
-    fh = open(out, "w") if out else sys.stdout
-    try:
-        if fmt == "json":
-            payload = {
-                "command": "verify",
-                "level": level,
-                "all_passed": all_passed,
-                "results": [
-                    {
-                        "criterion": r.criterion,
-                        "name": r.name,
-                        "status": r.status,
-                        "detail": r.detail,
-                        "seconds": round(r.seconds, 3),
-                    }
-                    for r in results
-                ],
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            for r in results:
-                fh.write(
-                    f"criterion {r.criterion} [{r.status}] {r.name}: "
-                    f"{r.detail} ({r.seconds:.2f}s)\n"
-                )
-            fh.write("all passed\n" if all_passed else "FAILED\n")
-    finally:
-        if out:
-            fh.close()
+    if fmt == "json":
+        payload = {
+            "command": "verify",
+            "level": level,
+            "all_passed": all_passed,
+            "results": [
+                {
+                    "criterion": r.criterion,
+                    "name": r.name,
+                    "status": r.status,
+                    "detail": r.detail,
+                    "seconds": round(r.seconds, 3),
+                }
+                for r in results
+            ],
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "".join(
+            f"criterion {r.criterion} [{r.status}] {r.name}: {r.detail} ({r.seconds:.2f}s)\n"
+            for r in results
+        )
+        text += "all passed\n" if all_passed else "FAILED\n"
+    _emit(args, text)
     return 0 if all_passed else 2
 
 
@@ -320,12 +299,7 @@ def cmd_teleport_export(args) -> int:
         n_tau = noise_factor(p).value
     label, w_in = _parse_state(args.state or "vacuum", extent, res)
     w_out = teleport_state(w_in, n_tau)
-
-    outdir = _resolve_out(args.out or ".") or "."
-    os.makedirs(outdir, exist_ok=True)
-    in_files = save_grid(w_in, os.path.join(outdir, "input_wigner"))
-    out_files = save_grid(w_out, os.path.join(outdir, "teleported_wigner"))
-
+    # every number comes before the first file, and report.json comes last
     stats = photon_statistics(w_out)
     quad0 = quadrature_statistics(w_out, 0.0)
     in_stats = photon_statistics(w_in)
@@ -333,7 +307,12 @@ def cmd_teleport_export(args) -> int:
         quadrature_statistics(w_in, 0.0).variance,
         quadrature_statistics(w_in, np.pi / 2).variance,
     )
-    q_grid = convert_sigma(w_out, -1.0)
+    q_min = float(convert_sigma(w_out, -1.0).values.min())
+
+    outdir = _resolve_out(args.out or ".")
+    os.makedirs(outdir, exist_ok=True)
+    in_files = save_grid(w_in, os.path.join(outdir, "input_wigner"))
+    out_files = save_grid(w_out, os.path.join(outdir, "teleported_wigner"))
     report = {
         "command": "teleport-export",
         "state": label,
@@ -353,13 +332,11 @@ def cmd_teleport_export(args) -> int:
         },
         "grid_min": {
             "teleported_wigner": _round12(float(w_out.values.min())),
-            "q_ordering": _round12(float(q_grid.values.min())),
+            "q_ordering": _round12(q_min),
         },
     }
     report_path = os.path.join(outdir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_text(report_path, [json.dumps(report, indent=2) + "\n"])
     sys.stdout.write(f"wrote {report_path}\n")
     return 0
 
@@ -401,8 +378,7 @@ def build_parser() -> _Parser:
     table.set_defaults(func=cmd_fidelity_table)
 
     verify = commands.add_parser("verify", help="run the acceptance checks")
-    verify.add_argument("level", nargs="?", choices=VERIFY_LEVELS, default=None)
-    verify.add_argument("--mutate-kernel", dest="mutate_kernel", help=argparse.SUPPRESS)
+    verify.add_argument("level", nargs="?", choices=LEVELS, default=None)
     _add_flags(verify, "--config", "--out", "--format")
     verify.set_defaults(func=cmd_verify)
 

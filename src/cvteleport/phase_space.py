@@ -14,8 +14,9 @@ The phase-space measure is d^2 alpha = d(alpha_r) d(alpha_i).
 
 from __future__ import annotations
 
-import csv
 import json
+import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,13 @@ from .numerics import trapezoid_weights
 
 DEFAULT_EXTENT = 6.0
 DEFAULT_RESOLUTION = 256
+
+
+def _check_extent(extent) -> None:
+    if not math.isfinite(extent):
+        raise ConfigurationError(f"grid extent must be finite, got {extent}")
+    if extent <= 0:
+        raise ConfigurationError(f"grid extent must be positive, got {extent}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +77,7 @@ class WignerGrid:
     def __post_init__(self):
         if not -1.0 <= self.sigma <= 1.0:
             raise ConfigurationError(f"sigma must lie in [-1, 1], got {self.sigma}")
-        if self.extent <= 0:
-            raise ConfigurationError(f"grid extent must be positive, got {self.extent}")
+        _check_extent(self.extent)
         if not isinstance(self.resolution, (int, np.integer)) or self.resolution < 8:
             raise ConfigurationError(
                 f"grid resolution must be an integer >= 8, got {self.resolution!r}"
@@ -88,6 +95,7 @@ class WignerGrid:
     @classmethod
     def from_profile(cls, profile, envelope, extent, resolution, pure=True) -> WignerGrid:
         """Wigner grid (sigma = 0) sampled from ``profile``, which stays attached."""
+        _check_extent(extent)
         ax = np.linspace(-extent, extent, resolution)
         x, y = np.meshgrid(ax, ax, indexing="ij")
         return cls(
@@ -234,47 +242,67 @@ def characteristic(g: WignerGrid, xi):
     return out if out.ndim else complex(out)
 
 
+def write_text(path: str, chunks) -> None:
+    """Write the strings ``chunks`` yields to ``path``, atomically.
+
+    The text goes to a temporary file beside ``path``, which is then renamed
+    onto it, so ``path`` is either whole or untouched.  The temporary file
+    never outlives the call, and an ``OSError`` names ``path``.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
 def save_grid(g: WignerGrid, basepath: str):
     """Write ``<basepath>.csv`` (columns alpha_r, alpha_i, value) and a
     ``<basepath>.json`` header describing the geometry."""
     csv_path = f"{basepath}.csv"
     json_path = f"{basepath}.json"
-    ax = g.axes()
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha_r", "alpha_i", "value"])
-        for i in range(g.resolution):
-            for j in range(g.resolution):
-                writer.writerow(
-                    [f"{ax[i]:.12g}", f"{ax[j]:.12g}", f"{g.values[i, j]:.12g}"]
-                )
-    with open(json_path, "w") as fh:
-        json.dump(
-            {"sigma": g.sigma, "extent": g.extent, "resolution": g.resolution},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    ax = [f"{a:.12g}" for a in g.axes().tolist()]
+
+    def rows():
+        yield "alpha_r,alpha_i,value\r\n"
+        for x, row in zip(ax, g.values):
+            yield "".join(f"{x},{y},{v:.12g}\r\n" for y, v in zip(ax, row.tolist()))
+
+    write_text(csv_path, rows())
+    header = {"sigma": g.sigma, "extent": g.extent, "resolution": g.resolution}
+    write_text(json_path, [json.dumps(header, indent=2) + "\n"])
     return csv_path, json_path
 
 
 def load_grid(basepath: str) -> WignerGrid:
-    """Read a grid written by :func:`save_grid`."""
-    with open(f"{basepath}.json") as fh:
-        header = json.load(fh)
-    for key in ("sigma", "extent", "resolution"):
-        if key not in header:
-            raise ConfigurationError(f"grid header is missing {key!r}")
-    res = int(header["resolution"])
-    data = np.loadtxt(f"{basepath}.csv", delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape != (res * res, 3):
+    """Read a grid written by :func:`save_grid`; a malformed pair raises
+    :class:`ConfigurationError`."""
+    try:
+        with open(f"{basepath}.json") as fh:
+            header = json.load(fh)
+        sigma, extent = float(header["sigma"]), float(header["extent"])
+        res = int(header["resolution"])
+        data = np.loadtxt(f"{basepath}.csv", delimiter=",", skiprows=1)
+    except KeyError as exc:
+        raise ConfigurationError(f"grid header is missing {exc}") from None
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed grid {basepath}: {exc}") from None
+    if res < 1 or data.shape != (res * res, 3):
         raise ConfigurationError(
             f"grid data shape {data.shape} does not match header resolution {res}"
         )
-    values = data[:, 2].reshape(res, res)
-    return WignerGrid(
-        sigma=float(header["sigma"]),
-        extent=float(header["extent"]),
-        resolution=res,
-        values=values,
-    )
+    g = WignerGrid(sigma=sigma, extent=extent, resolution=res, values=data[:, 2].reshape(res, res))
+    # the axes were written to 12 significant digits
+    ax = g.axes()
+    for col in (data[::res, 0], data[:res, 1]):
+        if not np.all(np.abs(col - ax) <= 1e-11 * extent):
+            raise ConfigurationError(
+                f"grid data axes do not match header extent {extent} and resolution {res}"
+            )
+    return g

@@ -24,6 +24,7 @@ from .channel import (
     noise_factor,
     teleport_vs_direct_gap,
 )
+from .errors import ConfigurationError
 from .fidelity import fock_fidelity, squeezed_fidelity
 from .nonclassicality import photon_statistics, quadrature_statistics
 from .numerics import grid_integrate, integrate_2d
@@ -45,6 +46,7 @@ from .states import (
 from .teleport import measurement_density, protocol_oracle, teleport_state
 
 _SEED = 20260814
+LEVELS = ("quick", "full")
 
 # channel settings shared by the oracle lattice; noise factors span ~0.14-3
 ORACLE_CHANNELS = (
@@ -70,23 +72,6 @@ class CriterionResult:
         if self.passed is None:
             return "skipped"
         return "pass" if self.passed else "fail"
-
-
-def _teleport(w, n_tau, kernel_mutation):
-    """teleport_state at n_tau * (1 + kernel_mutation), as verify --mutate-kernel asks."""
-    return teleport_state(w, float(n_tau) * (1.0 + kernel_mutation))
-
-
-def _result(number, name, fn, **kwargs) -> CriterionResult:
-    t0 = time.perf_counter()
-    passed, detail = fn(**kwargs)
-    return CriterionResult(
-        criterion=number,
-        name=name,
-        passed=passed,
-        detail=detail,
-        seconds=time.perf_counter() - t0,
-    )
 
 
 def criterion_1(tol: float = 1e-9):
@@ -158,7 +143,6 @@ def criterion_3(
     channels=ORACLE_CHANNELS,
     inputs=None,
     order: int = 40,
-    kernel_mutation: float = 0.0,
 ):
     """Protocol integral vs convolution on the full input/channel lattice."""
     states = _oracle_inputs(extent, resolution) if inputs is None else inputs
@@ -170,7 +154,7 @@ def criterion_3(
         n_tau = noise_factor(p)
         for label, grid in states:
             got = protocol_oracle(grid, ch, order=order)
-            want = _teleport(grid, n_tau, kernel_mutation)
+            want = teleport_state(grid, n_tau)
             err = float(np.abs(got.values - want.values).max())
             if err > worst:
                 worst, worst_at = err, f"{label} through {(s_qc, n_bar, T)}"
@@ -178,7 +162,7 @@ def criterion_3(
     return ok, f"sup-norm worst {worst:.3g} at {worst_at}"
 
 
-def criterion_4(tol: float = 1e-6, kernel_mutation: float = 0.0):
+def criterion_4(tol: float = 1e-6):
     """Closed-form teleported states vs grid convolution."""
     worst = 0.0
     cases = [
@@ -192,7 +176,7 @@ def criterion_4(tol: float = 1e-6, kernel_mutation: float = 0.0):
         ),
     ]
     for label, w_in, closed, n_tau in cases:
-        conv = _teleport(w_in, n_tau, kernel_mutation)
+        conv = teleport_state(w_in, n_tau)
         err = float(np.abs(conv.values - closed.values).max())
         worst = max(worst, err)
         if err > tol:
@@ -200,7 +184,7 @@ def criterion_4(tol: float = 1e-6, kernel_mutation: float = 0.0):
     return True, f"3 states, worst sup-norm {worst:.3g}"
 
 
-def criterion_5(tol: float = 1e-5, kernel_mutation: float = 0.0):
+def criterion_5(tol: float = 1e-5):
     """Photon-number and quadrature moment transfer from grid moments."""
     worst = 0.0
     for m in range(4):
@@ -208,7 +192,7 @@ def criterion_5(tol: float = 1e-5, kernel_mutation: float = 0.0):
         # from the boundary
         w = fock_wigner(m, extent=8.0)
         for n_tau in (0.3, 0.7):
-            stats = photon_statistics(_teleport(w, n_tau, kernel_mutation))
+            stats = photon_statistics(teleport_state(w, n_tau))
             worst = max(worst, abs(stats.mean - (m + n_tau)))
             worst = max(worst, abs(stats.variance - ((2 * m + 1) * n_tau + n_tau**2)))
     if worst > tol:
@@ -223,7 +207,7 @@ def criterion_5(tol: float = 1e-5, kernel_mutation: float = 0.0):
     n_tau = 0.4
     worst_q = 0.0
     for w in inputs:
-        out = _teleport(w, n_tau, kernel_mutation)
+        out = teleport_state(w, n_tau)
         for phi in (0.0, 0.9):
             before = quadrature_statistics(w, phi)
             after = quadrature_statistics(out, phi)
@@ -248,14 +232,14 @@ def _bisect(fn, lo, hi, tol=1e-5):
     return 0.5 * (lo + hi)
 
 
-def criterion_6(tol: float = 1e-4, kernel_mutation: float = 0.0):
+def criterion_6(tol: float = 1e-4):
     """Empirical nonclassicality-survival crossovers vs threshold formulas."""
     worst = 0.0
     for m in (1, 2, 3):
         w = fock_wigner(m)
 
         def super_poisson(n):
-            s = photon_statistics(_teleport(w, n, kernel_mutation))
+            s = photon_statistics(teleport_state(w, n))
             return s.variance - s.mean
 
         got = _bisect(super_poisson, 0.3, 0.5)
@@ -268,7 +252,7 @@ def criterion_6(tol: float = 1e-4, kernel_mutation: float = 0.0):
         w = squeezed_vacuum_wigner(s_o, extent=extent)
 
         def unsqueezed(n):
-            return quadrature_statistics(_teleport(w, n, kernel_mutation), 0.0).variance - 1.0
+            return quadrature_statistics(teleport_state(w, n), 0.0).variance - 1.0
 
         got = _bisect(unsqueezed, 0.1, 0.5)
         want = (1.0 - exp(-2.0 * s_o)) / 2.0
@@ -323,7 +307,7 @@ def criterion_8(tol: float = 1e-6):
     return ok, f"10 time points, worst |delta| = {worst:.3g}"
 
 
-def criterion_9(tol: float = 1e-5, kernel_mutation: float = 0.0):
+def criterion_9(tol: float = 1e-5):
     """Normalization of constructors, teleported grids, measurement density."""
     grids = {
         "vacuum": vacuum_wigner(),
@@ -334,8 +318,8 @@ def criterion_9(tol: float = 1e-5, kernel_mutation: float = 0.0):
         "squeezed 0.9": squeezed_vacuum_wigner(0.9),
         "coherent 1+0.5j": coherent_wigner(1.0 + 0.5j),
         "coherent -2": coherent_wigner(-2.0),
-        "teleported vacuum n=0.5": _teleport(vacuum_wigner(), 0.5, kernel_mutation),
-        "teleported fock 2 n=1": _teleport(fock_wigner(2), 1.0, kernel_mutation),
+        "teleported vacuum n=0.5": teleport_state(vacuum_wigner(), 0.5),
+        "teleported fock 2 n=1": teleport_state(fock_wigner(2), 1.0),
         "closed fock 1 n=0.5": teleported_fock_wigner(1, 0.5),
         "closed fock 3 n=0.2": teleported_fock_wigner(3, 0.2),
         "closed squeezed 0.7 n=0.4": teleported_squeezed_wigner(0.7, 0.4),
@@ -380,17 +364,12 @@ _CRITERIA = (
     (8, "moment-flow integration", criterion_8),
     (9, "normalization suite", criterion_9),
 )
-_TELEPORTING = (3, 4, 5, 6, 9)
 
 
-def run_all(level: str = "quick", kernel_mutation: float = 0.0):
-    """Run every criterion; quick level skips the protocol-oracle lattice.
-
-    ``kernel_mutation`` distorts the teleport kernel variance in the
-    criteria that teleport, to show that they catch a corrupted kernel.
-    """
-    if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+def run_all(level: str = "quick"):
+    """Run every criterion; quick level skips the protocol-oracle lattice."""
+    if level not in LEVELS:
+        raise ConfigurationError(f"level must be one of {LEVELS}, got {level!r}")
     results = []
     for number, name, fn in _CRITERIA:
         if number == 3 and level == "quick":
@@ -404,6 +383,8 @@ def run_all(level: str = "quick", kernel_mutation: float = 0.0):
                 )
             )
             continue
-        kwargs = {"kernel_mutation": kernel_mutation} if number in _TELEPORTING else {}
-        results.append(_result(number, name, fn, **kwargs))
+        t0 = time.perf_counter()
+        passed, detail = fn()
+        seconds = time.perf_counter() - t0
+        results.append(CriterionResult(number, name, passed, detail, seconds))
     return results

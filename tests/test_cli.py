@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvteleport import load_grid
+from cvteleport import ConfigurationError, load_grid, verify
 from cvteleport.cli import main
 
 
@@ -189,13 +189,15 @@ def test_sizes_are_bounded(capsys):
 
 def test_config_values_are_validated(capsys, tmp_path):
     # config-file values pass the same checks as the flags they stand for
-    for line in ("level = bogus", "format = yaml", "mutate-kernel = lots"):
+    for line in ("level = bogus", "format = yaml"):
         conf = tmp_path / "verify.conf"
         conf.write_text(line + "\n")
         code, out, err = _run(capsys, ["verify", "--config", str(conf)])
         assert code == 1, line
         assert out == ""
         assert err.startswith("cvteleport: error:"), line
+    with pytest.raises(ConfigurationError, match="bogus"):
+        verify.run_all("bogus")
 
 
 def test_verify_quick_text(capsys):
@@ -225,14 +227,17 @@ def test_verify_json_schema(capsys, tmp_path):
     assert code == 0
 
 
-def test_verify_detects_corrupted_kernel(capsys):
-    # the hidden mutation flag distorts the convolution kernel; the closed-form
+def test_verify_detects_corrupted_kernel(capsys, monkeypatch):
+    # a corrupted kernel that smooths at n_tau * 1.05; the closed-form
     # comparisons must catch it
-    code, out, _ = _run(capsys, ["verify", "quick", "--mutate-kernel", "0.05"])
+    real = verify.teleport_state
+    monkeypatch.setattr(verify, "teleport_state", lambda w, n: real(w, float(n) * 1.05))
+    code, out, _ = _run(capsys, ["verify", "quick"])
     assert code == 2
     by_line = {int(l.split()[1]): l for l in out.strip().splitlines()[:9]}
     assert "[fail]" in by_line[4]
-    # and the mutation does not leak into later runs
+    # and a clean kernel passes again
+    monkeypatch.undo()
     code, _, _ = _run(capsys, ["verify", "quick"])
     assert code == 0
 
@@ -314,6 +319,15 @@ def test_grid_header_schema(tmp_path, capsys):
     header = json.loads((tmp_path / "input_wigner.json").read_text())
     jsonschema.validate(header, _schema("grid_header"))
     assert header == {"sigma": 0.0, "extent": 6.0, "resolution": 64}
+
+
+def test_unwritable_out_exits_three(capsys, tmp_path):
+    out = str(tmp_path / "missing" / "x.csv")
+    code, stdout, err = _run(capsys, ["noise-sweep", "--out", out])
+    assert code == 3
+    assert stdout == ""
+    assert err == f"cvteleport: i/o: [Errno 2] No such file or directory: {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_channel_spec_is_usage_error(capsys):

@@ -1,5 +1,9 @@
 """Quasiprobability grids, ordering conversions and characteristic functions."""
 
+import csv
+import io
+import json
+import os
 import warnings
 from dataclasses import replace
 
@@ -25,6 +29,7 @@ from cvteleport import (
     save_grid,
     squeezed_vacuum_wigner,
     vacuum_wigner,
+    write_text,
 )
 from cvteleport.phase_space import smooth
 
@@ -52,6 +57,11 @@ def test_grid_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ConfigurationError):
         WignerGrid(sigma=0.0, extent=6.0, resolution=64, values=bad)
+    for extent in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match=f"extent must be finite, got {extent}"):
+            WignerGrid(sigma=0.0, extent=extent, resolution=8, values=np.zeros((8, 8)))
+        with pytest.raises(ConfigurationError, match=f"extent must be finite, got {extent}"):
+            fock_wigner(1, extent=extent)
 
 
 def test_grid_geometry():
@@ -188,9 +198,66 @@ def test_load_grid_rejects_bad_header(tmp_path):
     g = vacuum_wigner(resolution=32)
     base = str(tmp_path / "grid")
     save_grid(g, base)
-    (tmp_path / "grid.json").write_text('{"sigma": 0.0, "extent": 6.0}\n')
-    with pytest.raises(ConfigurationError):
-        load_grid(base)
+    good = (tmp_path / "grid.csv").read_bytes()
+    rows = good.split(b"\r\n")
+    rows[1] = rows[1].rsplit(b",", 1)[0] + b",abc"
+    non_numeric = b"\r\n".join(rows)
+    cases = [
+        ('{"sigma": 0.0, "extent": 6.0}\n', good),
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": "abc"}\n', good),
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": 32\n', good),
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": 32}\n', non_numeric),
+        # the CSV axes were written at extent 6
+        ('{"sigma": 0.0, "extent": 7.0, "resolution": 32}\n', good),
+    ]
+    for header, data in cases:
+        (tmp_path / "grid.json").write_text(header)
+        (tmp_path / "grid.csv").write_bytes(data)
+        with pytest.raises(ConfigurationError):
+            load_grid(base)
+
+
+def test_save_grid_writes_csv_writer_bytes(tmp_path):
+    values = np.linspace(-1.0, 1.0, 256).reshape(16, 16)
+    values[3, :5] = (-0.0, 5e-324, 1e-300, 1e20, 1.0 / 3.0)
+    g = WignerGrid(sigma=0.0, extent=6.0, resolution=16, values=values)
+    csv_path, json_path = save_grid(g, str(tmp_path / "grid"))
+    ax = g.axes()
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["alpha_r", "alpha_i", "value"])
+    for i in range(16):
+        for j in range(16):
+            writer.writerow([f"{ax[i]:.12g}", f"{ax[j]:.12g}", f"{values[i, j]:.12g}"])
+    with open(csv_path, "rb") as fh:
+        assert fh.read() == want.getvalue().encode()
+    with open(json_path) as fh:
+        assert json.load(fh) == {"sigma": 0.0, "extent": 6.0, "resolution": 16}
+
+
+def test_write_text_is_whole_or_absent(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(str(path), ["old\n"])
+    ref = tmp_path / "ref.txt"
+    open(ref, "w").close()
+    assert path.stat().st_mode == ref.stat().st_mode  # the mode open() gives
+    ref.unlink()
+
+    class Interrupted(Exception):
+        pass
+
+    def chunks():
+        yield "new\n"
+        raise Interrupted
+
+    with pytest.raises(Interrupted):
+        write_text(str(path), chunks())
+    assert path.read_text() == "old\n"
+    missing = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(FileNotFoundError) as exc:
+        write_text(missing, ["text"])
+    assert exc.value.filename == missing
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 @pytest.mark.xfail(

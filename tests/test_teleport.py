@@ -26,6 +26,7 @@ from cvteleport import (
     teleported_squeezed_wigner,
     two_mode_squeezed_vacuum,
     vacuum_wigner,
+    verify,
 )
 from cvteleport.verify import criterion_4
 
@@ -230,14 +231,16 @@ def test_measurement_density_spline_route_matches_profile():
     assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
-def test_kernel_mutation_hook_breaks_oracle_agreement():
-    # verify --mutate-kernel 0.05 teleports at n_tau * 1.05
+def test_kernel_mutation_hook_breaks_oracle_agreement(monkeypatch):
+    # a corrupted kernel that smooths at n_tau * 1.05 must fail criterion 4
     g = fock_wigner(1)
     closed = teleported_fock_wigner(1, 0.5)
     corrupted = teleport_state(g, 0.5 * (1.0 + 0.05))
     assert np.abs(corrupted.values - closed.values).max() > 1e-3
     clean = teleport_state(g, 0.5)
     assert np.abs(clean.values - closed.values).max() <= 1e-6
-    ok, detail = criterion_4(kernel_mutation=0.05)
+    monkeypatch.setattr(verify, "teleport_state", lambda w, n: teleport_state(w, float(n) * 1.05))
+    ok, detail = criterion_4()
     assert not ok and detail.startswith("fock 1, n_tau=0.5")
+    monkeypatch.undo()
     assert criterion_4()[0]
