@@ -27,7 +27,7 @@ from .nonclassicality import (
     squeezing_threshold,
     sub_poisson_threshold,
 )
-from .phase_space import convert_sigma, save_grid, write_text
+from .phase_space import _write_text, convert_sigma, save_grid
 from .states import coherent_wigner, fock_wigner, squeezed_vacuum_wigner, vacuum_wigner
 from .teleport import teleport_state
 from .verify import LEVELS, run_all
@@ -148,7 +148,7 @@ def _emit(args, text: str) -> None:
     """Write ``text`` to the ``--out`` path, or to stdout without one."""
     out = _resolve_out(args.out)
     if out:
-        write_text(out, [text])
+        _write_text(out, [text])
     else:
         sys.stdout.write(text)
 
@@ -336,7 +336,7 @@ def cmd_teleport_export(args) -> int:
         },
     }
     report_path = os.path.join(outdir, "report.json")
-    write_text(report_path, [json.dumps(report, indent=2) + "\n"])
+    _write_text(report_path, [json.dumps(report, indent=2) + "\n"])
     sys.stdout.write(f"wrote {report_path}\n")
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,18 +243,34 @@ def characteristic(g: WignerGrid, xi):
     return out if out.ndim else complex(out)
 
 
-def write_text(path: str, chunks) -> None:
-    """Write the strings ``chunks`` yields to ``path``, atomically.
+def _write_text(path: str, chunks) -> None:
+    """Write the strings ``chunks`` yields to ``path``.
 
-    The text goes to a temporary file beside ``path``, which is then renamed
-    onto it, so ``path`` is either whole or untouched.  The temporary file
-    never outlives the call, and an ``OSError`` names ``path``.
+    A regular file (or a new one) is filled as a temporary file beside the
+    file ``path`` resolves to, given the existing file's mode, and renamed
+    onto it, so a failed run leaves it whole or untouched; a symlink stays
+    a link.  A device, pipe or directory cannot be replaced, so it is
+    written through as ``open(path, "w")`` would.  The temporary file never
+    outlives the call, and an ``OSError`` names ``path``.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        st = os.stat(path)
+    except OSError:
+        st = None
+    if os.path.basename(path) in ("", ".", "..") or (
+        st is not None and not stat.S_ISREG(st.st_mode)
+    ):
+        with open(path, "w", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException as exc:
         if os.path.lexists(tmp):
             os.remove(tmp)
@@ -274,9 +291,9 @@ def save_grid(g: WignerGrid, basepath: str):
         for x, row in zip(ax, g.values):
             yield "".join(f"{x},{y},{v:.12g}\r\n" for y, v in zip(ax, row.tolist()))
 
-    write_text(csv_path, rows())
+    _write_text(csv_path, rows())
     header = {"sigma": g.sigma, "extent": g.extent, "resolution": g.resolution}
-    write_text(json_path, [json.dumps(header, indent=2) + "\n"])
+    _write_text(json_path, [json.dumps(header, indent=2) + "\n"])
     return csv_path, json_path
 
 

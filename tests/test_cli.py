@@ -138,6 +138,8 @@ def test_usage_errors_exit_one(capsys):
     [
         ["noise-sweep", "--ntau", "5", "--state", "fock:99", "--grid-res", "99999",
          "--grid-extent", "-3"],
+        # fidelity-table reads every flag another subcommand registers, so only
+        # an unknown flag remains to reject.
         ["fidelity-table", "--state", "fock:1", "--ntau", "0.5", "--mutate-kernel", "0.05"],
         ["verify", "quick", "--state", "vacuum"],
         ["teleport-export", "--ntau", "0.3", "--format", "yaml"],

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import stat
 import warnings
 from dataclasses import replace
 
@@ -29,9 +30,8 @@ from cvteleport import (
     save_grid,
     squeezed_vacuum_wigner,
     vacuum_wigner,
-    write_text,
 )
-from cvteleport.phase_space import smooth
+from cvteleport.phase_space import _write_text, smooth
 
 _SMOOTH_INPUTS = {
     "vacuum": vacuum_wigner(resolution=128),
@@ -237,7 +237,7 @@ def test_save_grid_writes_csv_writer_bytes(tmp_path):
 
 def test_write_text_is_whole_or_absent(tmp_path):
     path = tmp_path / "out.txt"
-    write_text(str(path), ["old\n"])
+    _write_text(str(path), ["old\n"])
     ref = tmp_path / "ref.txt"
     open(ref, "w").close()
     assert path.stat().st_mode == ref.stat().st_mode  # the mode open() gives
@@ -251,13 +251,31 @@ def test_write_text_is_whole_or_absent(tmp_path):
         raise Interrupted
 
     with pytest.raises(Interrupted):
-        write_text(str(path), chunks())
+        _write_text(str(path), chunks())
     assert path.read_text() == "old\n"
     missing = str(tmp_path / "missing" / "out.txt")
     with pytest.raises(FileNotFoundError) as exc:
-        write_text(missing, ["text"])
+        _write_text(missing, ["text"])
     assert exc.value.filename == missing
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_keeps_links_modes_and_special_files(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    _write_text(str(link), ["new\n"])
+    assert link.is_symlink() and target.read_text() == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    null_link = tmp_path / "null"
+    null_link.symlink_to(os.devnull)
+    _write_text(str(null_link), ["discarded\n"])
+    assert null_link.is_symlink()
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "null", "target.txt"]
 
 
 @pytest.mark.xfail(
