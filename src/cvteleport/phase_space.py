@@ -257,22 +257,19 @@ def _write_text(path: str, chunks) -> None:
         st = os.stat(path)
     except OSError:
         st = None
-    if os.path.basename(path) in ("", ".", "..") or (
-        st is not None and not stat.S_ISREG(st.st_mode)
-    ):
-        with open(path, "w", newline="") as fh:
-            fh.writelines(chunks)
-        return
     real = os.path.realpath(path)
-    tmp = f"{real}.{os.getpid()}.tmp"
+    atomic = os.path.basename(path) not in ("", ".", "..") and (
+        st is None or stat.S_ISREG(st.st_mode))
+    tmp = f"{real}.{os.getpid()}.tmp" if atomic else path
     try:
         with open(tmp, "w", newline="") as fh:
-            if st is not None:
+            if atomic and st is not None:
                 os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             fh.writelines(chunks)
-        os.replace(tmp, real)
+        if atomic:
+            os.replace(tmp, real)
     except BaseException as exc:
-        if os.path.lexists(tmp):
+        if atomic and os.path.lexists(tmp):
             os.remove(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from None
