@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .channel import ChannelParams, direct_noise, is_separable, noise_factor, teleport_vs_direct_gap
-from .errors import AccuracyError, ConfigurationError, CvtError, DomainError
+from .errors import AccuracyError, ConfigurationError, CvtError
 from .fidelity import fock_fidelity, overlap_fidelity, squeezed_fidelity
 from .nonclassicality import (
     p_positive_after_teleport,
@@ -27,7 +27,7 @@ from .nonclassicality import (
     squeezing_threshold,
     sub_poisson_threshold,
 )
-from .phase_space import _write_text, convert_sigma, save_grid
+from .phase_space import DEFAULT_EXTENT, DEFAULT_RESOLUTION, _write_text, convert_sigma, save_grid
 from .states import coherent_wigner, fock_wigner, squeezed_vacuum_wigner, vacuum_wigner
 from .teleport import teleport_state
 from .verify import LEVELS, run_all
@@ -136,7 +136,8 @@ def _apply_config(args) -> None:
 
 
 def _resolve_out(path):
-    if path is None:
+    """The --out path under $CVTELEPORT_OUTDIR; None for a missing or empty one."""
+    if not path:
         return None
     base = os.environ.get(OUTDIR_ENV, "")
     if base and not os.path.isabs(path):
@@ -175,9 +176,9 @@ def _emit_table(args, command, columns, rows):
 
 
 def _grid_settings(args):
-    extent = _parse_float(args.grid_extent, "--grid-extent") if args.grid_extent else 6.0
+    extent = _parse_float(args.grid_extent, "--grid-extent") if args.grid_extent else DEFAULT_EXTENT
     if not args.grid_res:
-        return extent, 256
+        return extent, DEFAULT_RESOLUTION
     try:
         res = int(args.grid_res)
     except ValueError:
@@ -311,6 +312,10 @@ def cmd_teleport_export(args) -> int:
 
     outdir = _resolve_out(args.out or ".")
     os.makedirs(outdir, exist_ok=True)
+    report_path = os.path.join(outdir, "report.json")
+    # a report left by an earlier export must not vouch for a failed one
+    if os.path.lexists(report_path):
+        os.remove(report_path)
     in_files = save_grid(w_in, os.path.join(outdir, "input_wigner"))
     out_files = save_grid(w_out, os.path.join(outdir, "teleported_wigner"))
     report = {
@@ -335,7 +340,6 @@ def cmd_teleport_export(args) -> int:
             "q_ordering": _round12(q_min),
         },
     }
-    report_path = os.path.join(outdir, "report.json")
     _write_text(report_path, [json.dumps(report, indent=2) + "\n"])
     sys.stdout.write(f"wrote {report_path}\n")
     return 0
@@ -398,7 +402,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         sys.stderr.write(f"cvteleport: accuracy: {exc}\n")
         return 2
-    except (ConfigurationError, DomainError, CvtError) as exc:
+    except CvtError as exc:
         sys.stderr.write(f"cvteleport: error: {exc}\n")
         return 1
     except OSError as exc:

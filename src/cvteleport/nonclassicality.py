@@ -20,7 +20,6 @@ from .channel import as_noise
 from .errors import ConfigurationError, DomainError, UnsupportedDeconvolutionError
 from .numerics import trapezoid_weights
 from .phase_space import WignerGrid, smooth
-from .teleport import teleport_state
 
 _VAR_SLOP = 1e-6
 MAX_MOMENT_ORDER = 4
@@ -129,26 +128,22 @@ def quadrature_statistics(w, phi: float = 0.0) -> QuadratureStats:
 
 
 def teleported_photon_stats(s_in, n_tau) -> PhotonStats:
-    """Photon statistics after teleportation with noise n_tau.
+    """Photon statistics after teleportation with noise n_tau,
 
-    Accepts a Fock index (closed form N_r = m + n_tau,
-    (dN_r)^2 = (2m+1) n_tau + n_tau^2), a PhotonStats (same transfer with
-    m -> mean and the input variance added on), or a WignerGrid (teleports
-    the grid and measures moments).
+        N_r = N + n_tau,   (dN_r)^2 = (dN)^2 + (2N + 1) n_tau + n_tau^2,
+
+    for a PhotonStats input or a Fock index m, which is PhotonStats(m, 0).
     """
     n = as_noise(n_tau)
-    if isinstance(s_in, WignerGrid):
-        return photon_statistics(teleport_state(s_in, n))
-    if isinstance(s_in, PhotonStats):
-        mean = s_in.mean + n
-        var = s_in.variance + (2.0 * s_in.mean + 1.0) * n + n**2
-        return PhotonStats(mean=mean, variance=var)
     if isinstance(s_in, (int, np.integer)) and not isinstance(s_in, bool):
-        m = int(s_in)
-        if m < 0:
+        if s_in < 0:
             raise DomainError("Fock index must be >= 0")
-        return PhotonStats(mean=m + n, variance=(2 * m + 1) * n + n**2)
-    raise ConfigurationError(f"unsupported input for photon statistics: {type(s_in)!r}")
+        s_in = PhotonStats(mean=int(s_in), variance=0.0)
+    if not isinstance(s_in, PhotonStats):
+        raise ConfigurationError(f"unsupported input for photon statistics: {type(s_in)!r}")
+    mean = s_in.mean + n
+    var = s_in.variance + (2.0 * s_in.mean + 1.0) * n + n**2
+    return PhotonStats(mean=mean, variance=var)
 
 
 def sub_poisson_threshold(s: PhotonStats):

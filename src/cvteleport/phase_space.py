@@ -51,10 +51,9 @@ class WignerGrid:
         Ordering label of the stored representation.
     extent : float
         Half-width of the square grid.
-    resolution : int
-        Sample count per axis.
     values : ndarray
-        ``values[i, j]`` is the distribution at ``alpha = axes()[i] + 1j*axes()[j]``.
+        Square array; ``values[i, j]`` is the distribution at
+        ``alpha = axes()[i] + 1j*axes()[j]``.
     profile : callable or None
         Optional exact evaluator ``profile(x, y) -> values`` for the same
         representation; set by the analytic constructors.
@@ -69,7 +68,6 @@ class WignerGrid:
 
     sigma: float
     extent: float
-    resolution: int
     values: np.ndarray
     profile: object = None
     envelope: tuple = None
@@ -79,19 +77,14 @@ class WignerGrid:
         if not -1.0 <= self.sigma <= 1.0:
             raise ConfigurationError(f"sigma must lie in [-1, 1], got {self.sigma}")
         _check_extent(self.extent)
-        if not isinstance(self.resolution, (int, np.integer)) or self.resolution < 8:
-            raise ConfigurationError(
-                f"grid resolution must be an integer >= 8, got {self.resolution!r}"
-            )
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.resolution, self.resolution):
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 8:
             raise ConfigurationError(
-                f"values shape {vals.shape} does not match resolution {self.resolution}"
+                f"grid values must be a square array of side >= 8, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ConfigurationError("grid values must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "resolution", int(self.resolution))
 
     @classmethod
     def from_profile(cls, profile, envelope, extent, resolution, pure=True) -> WignerGrid:
@@ -102,12 +95,16 @@ class WignerGrid:
         return cls(
             sigma=0.0,
             extent=float(extent),
-            resolution=int(resolution),
             values=profile(x, y),
             profile=profile,
             envelope=envelope,
             pure_origin=pure,
         )
+
+    @property
+    def resolution(self) -> int:
+        """Sample count per axis."""
+        return self.values.shape[0]
 
     def axes(self) -> np.ndarray:
         return np.linspace(-self.extent, self.extent, self.resolution)
@@ -194,7 +191,6 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
     return WignerGrid(
         sigma=g.sigma,
         extent=g.extent,
-        resolution=g.resolution,
         values=values,
         envelope=envelope,
         pure_origin=g.pure_origin and var == 0.0,
@@ -311,7 +307,8 @@ def load_grid(basepath: str) -> WignerGrid:
         raise ConfigurationError(
             f"grid data shape {data.shape} does not match header resolution {res}"
         )
-    g = WignerGrid(sigma=sigma, extent=extent, resolution=res, values=data[:, 2].reshape(res, res))
+    # a copy, so the grid does not keep the whole (res^2, 3) array alive
+    g = WignerGrid(sigma=sigma, extent=extent, values=data[:, 2].reshape(res, res).copy())
     # the axes were written to 12 significant digits
     ax = g.axes()
     for col in (data[::res, 0], data[:res, 1]):

@@ -116,7 +116,6 @@ def reconstruct_p(
     n: PExponentMatrix,
     a_b: complex,
     a_c: complex,
-    order: int = RECONSTRUCT_ORDER,
 ) -> float:
     """P(a_b, a_c) rebuilt as Int d2beta weight(beta) P_b(a_b;beta) P_c(a_c;beta).
 
@@ -125,7 +124,7 @@ def reconstruct_p(
     """
     a_tot = d.m_s + abs(n.n_bc) ** 2 / d.m_b + 1.0 / d.m_c
     b_lin = np.conj(n.n_bc) * a_b - a_c  # coefficient of conj(beta)
-    rule = gauss_hermite(order)
+    rule = gauss_hermite(RECONSTRUCT_ORDER)
     ctr_r, ctr_i = b_lin.real / a_tot, b_lin.imag / a_tot
     br = ctr_r + rule.nodes / np.sqrt(a_tot)
     bi = ctr_i + rule.nodes / np.sqrt(a_tot)
@@ -142,7 +141,8 @@ def channel_is_separable_via_appendix(g: GaussianTwoMode) -> bool:
     return n is not None and check_criterion(n)
 
 
-def is_boundary_case(g: GaussianTwoMode, tol: float = 1e-9) -> bool:
-    """True when the noise factor sits on the separability boundary, where
-    the strict criterion and the closed-form verdict (n_tau >= 1) disagree."""
-    return abs((g.gamma - g.lam) - 1.0) <= tol
+def is_boundary_case(g: GaussianTwoMode) -> bool:
+    """True when the noise factor lies within 1e-9 of the separability
+    boundary, where the strict criterion and the closed-form verdict
+    (n_tau >= 1) disagree."""
+    return abs((g.gamma - g.lam) - 1.0) <= 1e-9

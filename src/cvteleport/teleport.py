@@ -62,7 +62,6 @@ def _centred_nodes(rule, a, p, b, c):
 def protocol_oracle(
     w_o: WignerGrid,
     ch: GaussianTwoMode,
-    extent: float = None,
     resolution: int = None,
     order: int = ORACLE_ORDER,
 ) -> WignerGrid:
@@ -78,11 +77,12 @@ def protocol_oracle(
     read out, and the second channel mode is displaced accordingly.  The
     four real integrals run over rotated coordinates in which the channel
     Gaussian factors into the quadrature weight; two of them carry the
-    input profile, the other two are plain Gaussian sums.
+    input profile, the other two are plain Gaussian sums.  The output spans
+    the input's extent, at ``resolution`` points a side (the input's by
+    default).
     """
     if w_o.sigma != 0.0:
         raise ConfigurationError("the protocol integral consumes Wigner grids (sigma = 0)")
-    extent = w_o.extent if extent is None else float(extent)
     resolution = w_o.resolution if resolution is None else int(resolution)
     a, b = _channel_coeffs(ch)
     rule = gauss_hermite(order)
@@ -92,7 +92,7 @@ def protocol_oracle(
     k_ker = 0.5 * (a + b)
 
     cx, cy, kx, ky = _envelope(w_o)
-    ax_out = np.linspace(-extent, extent, resolution)
+    ax_out = np.linspace(-w_o.extent, w_o.extent, resolution)
     xo, wx = _centred_nodes(rule, k_ker, ax_out, kx, cx)  # (res, q)
     yo, wy = _centred_nodes(rule, k_ker, ax_out, ky, cy)
 
@@ -107,8 +107,7 @@ def protocol_oracle(
         out[lo:hi] = pref * np.einsum("rkil,rk,il->ri", wo_vals, wx[lo:hi], wy)
     return WignerGrid(
         sigma=0.0,
-        extent=extent,
-        resolution=resolution,
+        extent=w_o.extent,
         values=out,
         profile=None,
         envelope=None,
@@ -121,7 +120,6 @@ def measurement_density(
     ch: GaussianTwoMode,
     alpha_d_i,
     alpha_e_r,
-    order: int = ORACLE_ORDER,
 ):
     """Joint density of the two measured quadratures (Im of one splitter
     output, Re of the other), marginalized over everything unread.
@@ -137,7 +135,7 @@ def measurement_density(
     di = di.ravel()
     er = er.ravel()
     a, b = _channel_coeffs(ch)
-    rule = gauss_hermite(order)
+    rule = gauss_hermite(ORACLE_ORDER)
     sum_c = rule.weights.sum() / np.sqrt(a)  # unread channel quadratures
     c_ch = (a**2 - b**2) / (2.0 * a)  # background curvature left on the splitter mode
 

@@ -74,7 +74,7 @@ class CriterionResult:
         return "pass" if self.passed else "fail"
 
 
-def criterion_1(tol: float = 1e-9):
+def criterion_1():
     """Closed-form fidelity regression values."""
     failures = []
     worst = 0.0
@@ -83,7 +83,7 @@ def criterion_1(tol: float = 1e-9):
         nonlocal worst
         err = abs(got - want)
         worst = max(worst, err)
-        if err > tol:
+        if err > 1e-9:
             failures.append(f"{label}: got {got:.12g}, expected {want:.12g}")
 
     for m in range(6):
@@ -104,11 +104,11 @@ def criterion_1(tol: float = 1e-9):
     return True, f"15 values, worst |delta| = {worst:.3g}"
 
 
-def criterion_2(tol: float = 1e-12, points: int = 100):
+def criterion_2():
     """Noise-factor identity and the teleport-vs-direct gap."""
     rng = np.random.default_rng(_SEED)
     worst_n = worst_g = 0.0
-    for _ in range(points):
+    for _ in range(100):
         p = ChannelParams(
             s_qc=rng.uniform(0.0, 2.0),
             n_bar=rng.uniform(0.0, 3.0),
@@ -122,48 +122,38 @@ def criterion_2(tol: float = 1e-12, points: int = 100):
         worst_g = max(worst_g, abs(gap - gap_identity))
         if gap < 0:
             return False, f"negative gap {gap} at {p}"
-    ok = worst_n <= tol and worst_g <= tol
-    detail = f"{points} points, worst n_tau |delta| = {worst_n:.3g}, gap |delta| = {worst_g:.3g}"
+    ok = worst_n <= 1e-12 and worst_g <= 1e-12
+    detail = f"100 points, worst n_tau |delta| = {worst_n:.3g}, gap |delta| = {worst_g:.3g}"
     return ok, detail
 
 
-def _oracle_inputs(extent, resolution):
-    return (
-        ("vacuum", vacuum_wigner(extent=extent, resolution=resolution)),
-        ("fock 1", fock_wigner(1, extent=extent, resolution=resolution)),
-        ("fock 2", fock_wigner(2, extent=extent, resolution=resolution)),
-        ("squeezed 0.7", squeezed_vacuum_wigner(0.7, extent=extent, resolution=resolution)),
-    )
-
-
-def criterion_3(
-    tol: float = 1e-5,
-    extent: float = 8.0,
-    resolution: int = 128,
-    channels=ORACLE_CHANNELS,
-    inputs=None,
-    order: int = 40,
-):
+def criterion_3():
     """Protocol integral vs convolution on the full input/channel lattice."""
-    states = _oracle_inputs(extent, resolution) if inputs is None else inputs
+    states = (
+        ("vacuum", vacuum_wigner(extent=8.0, resolution=128)),
+        ("fock 1", fock_wigner(1, extent=8.0, resolution=128)),
+        ("fock 2", fock_wigner(2, extent=8.0, resolution=128)),
+        ("squeezed 0.7", squeezed_vacuum_wigner(0.7, extent=8.0, resolution=128)),
+    )
     worst = 0.0
     worst_at = ""
-    for s_qc, n_bar, T in channels:
+    for s_qc, n_bar, T in ORACLE_CHANNELS:
         p = ChannelParams(s_qc=s_qc, n_bar=n_bar, T=T)
         ch = evolve_channel(p)
         n_tau = noise_factor(p)
         for label, grid in states:
-            got = protocol_oracle(grid, ch, order=order)
+            got = protocol_oracle(grid, ch)
             want = teleport_state(grid, n_tau)
             err = float(np.abs(got.values - want.values).max())
             if err > worst:
                 worst, worst_at = err, f"{label} through {(s_qc, n_bar, T)}"
-    ok = worst <= tol
+    ok = worst <= 1e-5
     return ok, f"sup-norm worst {worst:.3g} at {worst_at}"
 
 
-def criterion_4(tol: float = 1e-6):
+def criterion_4():
     """Closed-form teleported states vs grid convolution."""
+    tol = 1e-6
     worst = 0.0
     cases = [
         ("fock 1, n_tau=0.5", fock_wigner(1), teleported_fock_wigner(1, 0.5), 0.5),
@@ -184,8 +174,9 @@ def criterion_4(tol: float = 1e-6):
     return True, f"3 states, worst sup-norm {worst:.3g}"
 
 
-def criterion_5(tol: float = 1e-5):
+def criterion_5():
     """Photon-number and quadrature moment transfer from grid moments."""
+    tol = 1e-5
     worst = 0.0
     for m in range(4):
         # fourth moments weight the far field; keep kernel truncation away
@@ -219,10 +210,10 @@ def criterion_5(tol: float = 1e-5):
     return ok, f"photon worst {worst:.3g}, quadrature worst {worst_q:.3g}"
 
 
-def _bisect(fn, lo, hi, tol=1e-5):
+def _bisect(fn, lo, hi):
     flo = fn(lo)
     for _ in range(60):
-        if hi - lo <= tol:
+        if hi - lo <= 1e-5:
             break
         mid = 0.5 * (lo + hi)
         if (fn(mid) > 0) == (flo > 0):
@@ -232,7 +223,7 @@ def _bisect(fn, lo, hi, tol=1e-5):
     return 0.5 * (lo + hi)
 
 
-def criterion_6(tol: float = 1e-4):
+def criterion_6():
     """Empirical nonclassicality-survival crossovers vs threshold formulas."""
     worst = 0.0
     for m in (1, 2, 3):
@@ -259,11 +250,11 @@ def criterion_6(tol: float = 1e-4):
         if not want <= 0.5:
             return False, f"squeezing threshold {want} exceeds 1/2"
         worst = max(worst, abs(got - want))
-    ok = worst <= tol
+    ok = worst <= 1e-4
     return ok, f"5 crossovers, worst offset {worst:.3g}"
 
 
-def criterion_7(tol: float = 1e-8):
+def criterion_7():
     """Separability equivalence on a parameter lattice plus P reconstruction."""
     checked = 0
     for s_qc in np.linspace(0.0, 2.0, 5):
@@ -291,11 +282,11 @@ def criterion_7(tol: float = 1e-8):
             err = abs(reconstruct_p(dec, mat, a_b, a_c) - p_value(mat, a_b, a_c))
             worst = max(worst, err)
             probes += 1
-    ok = worst <= tol
+    ok = worst <= 1e-8
     return ok, f"{checked} lattice points agree; reconstruction worst |delta| = {worst:.3g}"
 
 
-def criterion_8(tol: float = 1e-6):
+def criterion_8():
     """ODE-integrated channel moments vs closed forms."""
     worst = 0.0
     for T in np.linspace(0.1, 1.0, 10):
@@ -303,12 +294,13 @@ def criterion_8(tol: float = 1e-6):
         g_ode, l_ode = integrate_moment_flow(p)
         ch = evolve_channel(p)
         worst = max(worst, abs(g_ode - ch.gamma), abs(l_ode - ch.lam))
-    ok = worst <= tol
+    ok = worst <= 1e-6
     return ok, f"10 time points, worst |delta| = {worst:.3g}"
 
 
-def criterion_9(tol: float = 1e-5):
+def criterion_9():
     """Normalization of constructors, teleported grids, measurement density."""
+    tol = 1e-5
     grids = {
         "vacuum": vacuum_wigner(),
         "fock 1": fock_wigner(1),

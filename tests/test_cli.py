@@ -332,6 +332,28 @@ def test_unwritable_out_exits_three(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_reexport_leaves_no_stale_report(capsys, tmp_path):
+    out = tmp_path / "exp"
+    argv = ["teleport-export", "--grid-res", "32", "--out", str(out)]
+    assert _run(capsys, argv + ["--state", "vacuum", "--ntau", "0.3"])[0] == 0
+    (out / "teleported_wigner.csv").unlink()
+    (out / "teleported_wigner.csv").mkdir()
+    code, _, err = _run(capsys, argv + ["--state", "fock:1", "--ntau", "0.5"])
+    assert code == 3
+    assert "teleported_wigner.csv" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("outdir", [None, "base"])
+def test_empty_out_means_stdout(capsys, tmp_path, monkeypatch, outdir):
+    if outdir is not None:
+        monkeypatch.setenv("CVTELEPORT_OUTDIR", str(tmp_path / outdir))
+    code, out, err = _run(capsys, ["noise-sweep", "--out", ""])
+    assert code == 0 and err == ""
+    assert out.startswith("s_qc,n_bar,T,n_tau")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_channel_spec_is_usage_error(capsys):
     code, _, err = _run(capsys, ["teleport-export", "--state", "vacuum"])
     assert code == 1

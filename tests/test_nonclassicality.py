@@ -176,7 +176,7 @@ def test_teleported_photon_stats_routes_agree():
     assert_allclose(closed.variance, 3 * 0.3 + 0.09, rtol=1e-12)
     from_stats = teleported_photon_stats(PhotonStats(mean=1.0, variance=0.0), n)
     assert_allclose((from_stats.mean, from_stats.variance), (closed.mean, closed.variance))
-    from_grid = teleported_photon_stats(fock_wigner(m), n)
+    from_grid = photon_statistics(teleport_state(fock_wigner(m), n))
     assert_allclose(from_grid.mean, closed.mean, rtol=0, atol=1e-5)
     assert_allclose(from_grid.variance, closed.variance, rtol=0, atol=1e-4)
 

