@@ -40,8 +40,6 @@ class GaussianTwoMode:
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma < 1.0 - 1e-12:
             raise ConfigurationError(f"gamma must be >= 1, got {self.gamma}")
-        if abs(self.lam) >= self.gamma:
-            raise ConfigurationError("correlation |lam| must be below gamma")
         if self.gamma**2 - self.lam**2 < 1.0 - 1e-9:
             raise ConfigurationError("gamma^2 - lam^2 must be >= 1 for a physical state")
 
@@ -54,7 +52,7 @@ def two_mode_squeezed_vacuum(s_qc: float) -> GaussianTwoMode:
     """Pure two-mode squeezed vacuum with squeezing parameter s_qc >= 0."""
     if s_qc < 0:
         raise DomainError(f"squeezing parameter must be >= 0, got {s_qc}")
-    return GaussianTwoMode(gamma=np.cosh(2.0 * s_qc), lam=np.sinh(2.0 * s_qc))
+    return evolve_channel(ChannelParams(s_qc, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -155,13 +153,9 @@ def noise_factor(p: ChannelParams) -> NoiseFactor:
     return NoiseFactor(value=float(value))
 
 
-def direct_noise(n_bar: float, T: float) -> NoiseFactor:
+def direct_noise(p: ChannelParams) -> NoiseFactor:
     """Additive noise n_bar * T of direct transmission through the bath."""
-    if n_bar < 0:
-        raise ConfigurationError(f"n_bar must be >= 0, got {n_bar}")
-    if not 0.0 <= T <= 1.0:
-        raise ConfigurationError(f"T must lie in [0, 1], got {T}")
-    return NoiseFactor(value=float(n_bar) * float(T))
+    return NoiseFactor(value=float(p.n_bar) * float(p.T))
 
 
 def is_separable(p: ChannelParams) -> bool:

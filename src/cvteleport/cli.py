@@ -204,7 +204,7 @@ def cmd_noise_sweep(args) -> int:
             p.n_bar,
             p.T,
             noise_factor(p).value,
-            direct_noise(p.n_bar, p.T).value,
+            direct_noise(p).value,
             teleport_vs_direct_gap(p),
             is_separable(p),
         )

@@ -12,14 +12,14 @@ every n_tau >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, sqrt
+from math import cosh, isfinite, sqrt
 
 import numpy as np
 
 from .channel import as_noise
 from .errors import ConfigurationError, DomainError
 from .numerics import integrate_2d
-from .phase_space import WignerGrid
+from .phase_space import WignerGrid, as_grid
 
 _RESCALE = 2.0**300
 
@@ -43,13 +43,13 @@ def overlap_fidelity(w_o: WignerGrid, w_r: WignerGrid) -> FidelityReport:
     w_o must come from a pure state; overlap-as-fidelity does not hold
     against mixed originals.
     """
+    as_grid(w_o, "overlap_fidelity", wigner=True)
+    as_grid(w_r, "overlap_fidelity", wigner=True)
     if (w_o.extent, w_o.resolution) != (w_r.extent, w_r.resolution):
         raise ConfigurationError(
             f"grid geometry mismatch: ({w_o.extent}, {w_o.resolution}) vs "
             f"({w_r.extent}, {w_r.resolution})"
         )
-    if w_o.sigma != 0.0 or w_r.sigma != 0.0:
-        raise ConfigurationError("overlap fidelity is defined on Wigner grids (sigma = 0)")
     if not w_o.pure_origin:
         raise ConfigurationError("the reference state must be pure for overlap fidelity")
     val = np.pi * integrate_2d(w_o.values * w_r.values, w_o.axes())
@@ -87,6 +87,11 @@ def squeezed_fidelity(s_o: float, n_tau) -> FidelityReport:
 
     F = (n^2 + 2 n cosh 2 s_o + 1)^{-1/2}.
     """
+    if not isfinite(s_o):
+        raise ConfigurationError(f"squeezing s_o must be finite, got {s_o}")
     n = as_noise(n_tau)
-    val = 1.0 / sqrt(n**2 + 2.0 * n * cosh(2.0 * s_o) + 1.0)
+    try:
+        val = 1.0 / sqrt(n**2 + 2.0 * n * cosh(2.0 * s_o) + 1.0)
+    except OverflowError:
+        raise DomainError(f"squeezing s_o = {s_o} is too large: cosh(2 s_o) overflows") from None
     return FidelityReport(value=val)

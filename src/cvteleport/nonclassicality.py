@@ -19,7 +19,7 @@ import numpy as np
 from .channel import as_noise
 from .errors import ConfigurationError, DomainError, UnsupportedDeconvolutionError
 from .numerics import trapezoid_weights
-from .phase_space import WignerGrid, smooth
+from .phase_space import WignerGrid, as_grid, smooth
 
 _VAR_SLOP = 1e-6
 MAX_MOMENT_ORDER = 4
@@ -62,8 +62,7 @@ def _raw_moments(g: WignerGrid) -> np.ndarray:
     """raw[p, q] = Int x^p y^q R(x + iy) dx dy for p, q <= MAX_MOMENT_ORDER,
     by the trapezoid rule as one product V R V^T with V[p, i] = x_i^p w_i.
     """
-    if not isinstance(g, WignerGrid):
-        raise ConfigurationError(f"cannot take moments of {type(g).__name__}")
+    as_grid(g, "moment_table")
     powers = g.axes() ** np.arange(MAX_MOMENT_ORDER + 1)[:, None]
     v = powers * trapezoid_weights(g.resolution, g.dx)
     return v @ g.values @ v.T
@@ -136,8 +135,6 @@ def teleported_photon_stats(s_in, n_tau) -> PhotonStats:
     """
     n = as_noise(n_tau)
     if isinstance(s_in, (int, np.integer)) and not isinstance(s_in, bool):
-        if s_in < 0:
-            raise DomainError("Fock index must be >= 0")
         s_in = PhotonStats(mean=int(s_in), variance=0.0)
     if not isinstance(s_in, PhotonStats):
         raise ConfigurationError(f"unsupported input for photon statistics: {type(s_in)!r}")
@@ -172,6 +169,8 @@ def squeezing_threshold(var_min: float):
     var_min is the input's minimum quadrature variance; the threshold is
     (1 - var_min)/2, None when the input is not squeezed.  Never exceeds 1/2.
     """
+    if math.isnan(var_min):
+        raise ConfigurationError("variance must be a number, got nan")
     if var_min < 0:
         raise DomainError(f"variance must be >= 0, got {var_min}")
     thr = (1.0 - var_min) / 2.0
@@ -196,8 +195,7 @@ def p_negativity_probe(w_o: WignerGrid, n_tau, sigma: float = 0.9) -> float:
     2 n_tau - sigma > 0.  A negative return witnesses surviving
     P-nonclassicality down to the probed ordering.
     """
-    if w_o.sigma != 0.0:
-        raise ConfigurationError("probe consumes Wigner grids (sigma = 0)")
+    as_grid(w_o, "p_negativity_probe", wigner=True)
     if sigma > 1.0:
         raise DomainError(f"ordering parameter must be <= 1, got {sigma}")
     n = as_noise(n_tau)

@@ -19,7 +19,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def gauss_hermite(order: int) -> QuadratureRule:
@@ -33,7 +32,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
             f"quadrature order must be an integer in [1, {MAX_QUADRATURE_ORDER}], got {order!r}"
         )
     nodes, weights = hermgauss(int(order))
-    return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def trapezoid_weights(n: int, dx: float) -> np.ndarray:

@@ -34,11 +34,16 @@ DEFAULT_EXTENT = 6.0
 DEFAULT_RESOLUTION = 256
 
 
-def _check_extent(extent) -> None:
+def check_geometry(extent, resolution) -> None:
+    """Raise ConfigurationError unless ``extent`` is finite and positive and
+    ``resolution`` is an integer (not a bool) of at least 8."""
     if not math.isfinite(extent):
         raise ConfigurationError(f"grid extent must be finite, got {extent}")
     if extent <= 0:
         raise ConfigurationError(f"grid extent must be positive, got {extent}")
+    integer = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
+    if not integer or resolution < 8:
+        raise ConfigurationError(f"grid resolution must be an integer >= 8, got {resolution!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +81,10 @@ class WignerGrid:
     def __post_init__(self):
         if not -1.0 <= self.sigma <= 1.0:
             raise ConfigurationError(f"sigma must lie in [-1, 1], got {self.sigma}")
-        _check_extent(self.extent)
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or vals.shape[0] < 8:
-            raise ConfigurationError(
-                f"grid values must be a square array of side >= 8, got shape {vals.shape}"
-            )
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise ConfigurationError(f"grid values must be a square array, got shape {vals.shape}")
+        check_geometry(self.extent, vals.shape[0])
         if not np.all(np.isfinite(vals)):
             raise ConfigurationError("grid values must be finite")
         object.__setattr__(self, "values", vals)
@@ -89,7 +92,7 @@ class WignerGrid:
     @classmethod
     def from_profile(cls, profile, envelope, extent, resolution, pure=True) -> WignerGrid:
         """Wigner grid (sigma = 0) sampled from ``profile``, which stays attached."""
-        _check_extent(extent)
+        check_geometry(extent, resolution)
         ax = np.linspace(-extent, extent, resolution)
         x, y = np.meshgrid(ax, ax, indexing="ij")
         return cls(
@@ -141,6 +144,16 @@ class WignerGrid:
         if max(abs(a.real), abs(a.imag)) > self.extent:
             raise DomainError(f"point {a} lies outside the grid extent {self.extent}")
         return float(self.sample(a.real, a.imag))
+
+
+def as_grid(g, what: str, wigner: bool = False) -> WignerGrid:
+    """``g`` itself when it is a WignerGrid, and a Wigner one (sigma = 0) when
+    ``wigner`` is set; otherwise a ConfigurationError naming ``what``."""
+    if not isinstance(g, WignerGrid):
+        raise ConfigurationError(f"{what} takes a WignerGrid, got {type(g).__name__}")
+    if wigner and g.sigma != 0.0:
+        raise ConfigurationError(f"{what} takes a Wigner grid (sigma = 0), got sigma = {g.sigma}")
+    return g
 
 
 def band_limit(g: WignerGrid) -> float:
@@ -203,8 +216,7 @@ def convert_sigma(g: WignerGrid, sigma_to: float) -> WignerGrid:
     Grids only support decreasing sigma (Gaussian smoothing); asking for a
     higher label raises, since deconvolution of sampled data is ill-posed.
     """
-    if not isinstance(g, WignerGrid):
-        raise ConfigurationError(f"cannot convert object of type {type(g).__name__}")
+    as_grid(g, "convert_sigma")
     if sigma_to > g.sigma:
         raise UnsupportedDeconvolutionError(
             f"cannot raise sigma from {g.sigma} to {sigma_to} on a sampled grid; "
@@ -223,8 +235,7 @@ def characteristic(g: WignerGrid, xi):
     trapezoid rule, and ``xi`` must stay inside the grid band limit.
     """
     xi_arr = np.asarray(xi, dtype=complex)
-    if not isinstance(g, WignerGrid):
-        raise ConfigurationError(f"cannot evaluate characteristic of {type(g).__name__}")
+    as_grid(g, "characteristic")
     if np.any(np.abs(xi_arr) > band_limit(g)):
         raise AccuracyError(
             f"|xi| exceeds the grid band limit {band_limit(g):.4g}"

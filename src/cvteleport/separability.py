@@ -20,6 +20,7 @@ from .errors import NotSeparableError
 from .numerics import gauss_hermite
 
 RECONSTRUCT_ORDER = 30
+_RECONSTRUCT_RULE = gauss_hermite(RECONSTRUCT_ORDER)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def reconstruct_p(
     """
     a_tot = d.m_s + abs(n.n_bc) ** 2 / d.m_b + 1.0 / d.m_c
     b_lin = np.conj(n.n_bc) * a_b - a_c  # coefficient of conj(beta)
-    rule = gauss_hermite(RECONSTRUCT_ORDER)
+    rule = _RECONSTRUCT_RULE
     ctr_r, ctr_i = b_lin.real / a_tot, b_lin.imag / a_tot
     br = ctr_r + rule.nodes / np.sqrt(a_tot)
     bi = ctr_i + rule.nodes / np.sqrt(a_tot)

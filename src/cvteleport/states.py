@@ -37,7 +37,7 @@ def teleported_fock_wigner(
     homogeneous of degree m, so it runs on (u/v, z/v) and no power of v is
     formed.  At n_tau = 0 this is (2/pi) (-1)^m exp(-2|a|^2) L_m(4|a|^2).
     """
-    if not isinstance(m, (int, np.integer)) or not 0 <= m <= MAX_FOCK:
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or not 0 <= m <= MAX_FOCK:
         raise ConfigurationError(f"number-state index must be an integer in [0, {MAX_FOCK}]")
     m = int(m)
     n = as_noise(n_tau)
@@ -50,6 +50,7 @@ def teleported_fock_wigner(
 
     def profile(x, y):
         r2 = x**2 + y**2
+        # m = 0 stays a branch: a (q_{-1}, q_0) = (0, 1) start costs three more array passes
         if m == 0:
             return pref * np.exp(c_exp * r2)
         z = c_z * r2
@@ -82,7 +83,7 @@ def teleported_squeezed_wigner(
     # sqrt(2 / min(kx, ky)), written so that it is exactly e^|s_o| at n_tau = 0;
     # it comes before e^{+-2 s_o}, which overflows for squeezings the guard rejects
     width = np.exp(abs(s_o)) * np.sqrt(1.0 + 2.0 * n * np.exp(-2.0 * abs(s_o)))
-    if not extent >= DEFAULT_EXTENT * width / np.exp(1.5):
+    if not extent >= 6.0 * width / np.exp(1.5):
         raise ConfigurationError(
             f"extent {extent} too small for squeezing {s_o} at noise {n}; grow it as e^|s_o|"
         )

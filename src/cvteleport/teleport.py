@@ -19,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import GaussianTwoMode, as_noise
-from .errors import ConfigurationError
 from .numerics import gauss_hermite
-from .phase_space import WignerGrid, smooth
+from .phase_space import WignerGrid, as_grid, check_geometry, smooth
 
 ORACLE_ORDER = 40
+_DENSITY_RULE = gauss_hermite(ORACLE_ORDER)
 
 
 def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
@@ -34,9 +34,7 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
     row-normalized kernels, so the n_tau -> 0 limit returns the input.
     """
     n = as_noise(n_tau)
-    if w_o.sigma != 0.0:
-        raise ConfigurationError("teleportation acts on Wigner grids (sigma = 0)")
-    return smooth(w_o, n / 2.0)
+    return smooth(as_grid(w_o, "teleport_state", wigner=True), n / 2.0)
 
 
 def _channel_coeffs(ch: GaussianTwoMode):
@@ -81,9 +79,9 @@ def protocol_oracle(
     the input's extent, at ``resolution`` points a side (the input's by
     default).
     """
-    if w_o.sigma != 0.0:
-        raise ConfigurationError("the protocol integral consumes Wigner grids (sigma = 0)")
-    resolution = w_o.resolution if resolution is None else int(resolution)
+    as_grid(w_o, "protocol_oracle", wigner=True)
+    resolution = w_o.resolution if resolution is None else resolution
+    check_geometry(w_o.extent, resolution)
     a, b = _channel_coeffs(ch)
     rule = gauss_hermite(order)
 
@@ -105,14 +103,7 @@ def protocol_oracle(
             xo[lo:hi][:, :, None, None], yo[None, None, :, :]
         )  # (chunk, q, res, q)
         out[lo:hi] = pref * np.einsum("rkil,rk,il->ri", wo_vals, wx[lo:hi], wy)
-    return WignerGrid(
-        sigma=0.0,
-        extent=w_o.extent,
-        values=out,
-        profile=None,
-        envelope=None,
-        pure_origin=False,
-    )
+    return WignerGrid(sigma=0.0, extent=w_o.extent, values=out)
 
 
 def measurement_density(
@@ -126,8 +117,7 @@ def measurement_density(
 
     Accepts scalars or broadcastable arrays and returns matching shape.
     """
-    if w_o.sigma != 0.0:
-        raise ConfigurationError("the measurement density consumes Wigner grids (sigma = 0)")
+    as_grid(w_o, "measurement_density", wigner=True)
     di, er = np.broadcast_arrays(
         np.asarray(alpha_d_i, dtype=float), np.asarray(alpha_e_r, dtype=float)
     )
@@ -135,7 +125,7 @@ def measurement_density(
     di = di.ravel()
     er = er.ravel()
     a, b = _channel_coeffs(ch)
-    rule = gauss_hermite(ORACLE_ORDER)
+    rule = _DENSITY_RULE
     sum_c = rule.weights.sum() / np.sqrt(a)  # unread channel quadratures
     c_ch = (a**2 - b**2) / (2.0 * a)  # background curvature left on the splitter mode
 

@@ -117,7 +117,7 @@ def criterion_2():
         ch = evolve_channel(p)
         worst_n = max(worst_n, abs(noise_factor(p).value - (ch.gamma - ch.lam)))
         half = ChannelParams(s_qc=p.s_qc, n_bar=p.n_bar, T=1.0 - sqrt(1.0 - p.T))
-        gap_identity = noise_factor(half).value - direct_noise(p.n_bar, p.T).value
+        gap_identity = noise_factor(half).value - direct_noise(p).value
         gap = teleport_vs_direct_gap(p)
         worst_g = max(worst_g, abs(gap - gap_identity))
         if gap < 0:

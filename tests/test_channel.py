@@ -142,12 +142,12 @@ def test_is_separable():
 
 
 def test_direct_noise():
-    assert direct_noise(0.0, 0.7).value == 0.0
-    assert direct_noise(1.5, 1.0).value == 1.5
-    got = direct_noise(2.0, 0.3)
+    assert direct_noise(ChannelParams(s_qc=0.0, n_bar=0.0, T=0.7)).value == 0.0
+    assert direct_noise(ChannelParams(s_qc=0.0, n_bar=1.5, T=1.0)).value == 1.5
+    got = direct_noise(ChannelParams(s_qc=0.0, n_bar=2.0, T=0.3))
     assert_allclose(got.value, 0.6, rtol=1e-14)
     with pytest.raises(ConfigurationError):
-        direct_noise(-1.0, 0.5)
+        direct_noise(ChannelParams(s_qc=0.0, n_bar=-1.0, T=0.5))
 
 
 def test_gap_closed_form():
@@ -171,5 +171,5 @@ def test_gap_identity_and_positivity():
         gap = teleport_vs_direct_gap(p)
         assert gap >= 0.0
         half = ChannelParams(s_qc=p.s_qc, n_bar=p.n_bar, T=1.0 - np.sqrt(1.0 - p.T))
-        identity = noise_factor(half).value - direct_noise(p.n_bar, p.T).value
+        identity = noise_factor(half).value - direct_noise(p).value
         assert_allclose(gap, identity, rtol=0, atol=1e-12)

@@ -7,7 +7,6 @@ import json
 import math
 
 import jsonschema
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -121,7 +120,7 @@ def test_fidelity_table_accuracy_exit(capsys):
     assert "accuracy" in err
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
@@ -131,6 +130,23 @@ def test_usage_errors_exit_one(capsys):
     assert "at least one step" in err
     code, _, err = _run(capsys, ["noise-sweep", "--time", "1.5"])
     assert code == 1
+    export = ["teleport-export", "--ntau", "0.3", "--out", str(tmp_path / "out"), "--state"]
+    for argv, fragment in (
+        (export + ["coherent:1"], "expects RE,IM"),
+        (export + ["coherent:1,x"], "--state coherent expects a number"),
+        (export + ["cat:1"], "unknown state selector"),
+        (["fidelity-table", "--ntau", "0.3", "--state", "fock:x"], "integer index"),
+        (["noise-sweep", "--nbar", "abc"], "--nbar expects a number"),
+        (["noise-sweep", "--time", "0:1"], "START:STOP:STEPS"),
+        (["noise-sweep", "--time", "0:1:2.5"], "steps must be an integer"),
+        (["noise-sweep", "--format", "yaml"], "--format must be csv or json"),
+        (["fidelity-table", "--ntau", "0.3"], "--state is required"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert fragment in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -198,6 +214,17 @@ def test_config_values_are_validated(capsys, tmp_path):
         assert code == 1, line
         assert out == ""
         assert err.startswith("cvteleport: error:"), line
+    # comment and blank lines are skipped; a line without "=" is rejected
+    for text, fragment in (
+        ("# a comment\n\nlevel = bogus\n", "bogus"),
+        ("level\n", "expected key=value"),
+    ):
+        conf = tmp_path / "verify.conf"
+        conf.write_text(text)
+        code, out, err = _run(capsys, ["verify", "--config", str(conf)])
+        assert code == 1, text
+        assert out == ""
+        assert fragment in err, err
     with pytest.raises(ConfigurationError, match="bogus"):
         verify.run_all("bogus")
 
@@ -266,6 +293,17 @@ def test_teleport_export(capsys, tmp_path):
     assert report["thresholds"]["p_positive_after_teleport"] is False
     assert_allclose(report["thresholds"]["sub_poisson"], math.sqrt(2.0) - 1.0, rtol=0, atol=1e-4)
     assert report["thresholds"]["squeezing"] is None
+    out_dir = tmp_path / "coherent"
+    code, _, _ = _run(
+        capsys,
+        ["teleport-export", "--state", "coherent:1,0.5", "--ntau", "0.3", "--grid-res", "64",
+         "--out", str(out_dir)],
+    )
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    jsonschema.validate(report, _schema("teleport_report"))
+    assert report["state"] == "coherent:1,0.5"
+    assert report["channel"] is None
 
 
 def test_teleport_export_positive_regime(capsys, tmp_path):

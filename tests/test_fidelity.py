@@ -12,6 +12,7 @@ from cvteleport import (
     ConfigurationError,
     DomainError,
     FidelityReport,
+    convert_sigma,
     fock_fidelity,
     fock_wigner,
     overlap_fidelity,
@@ -78,6 +79,11 @@ def test_overlap_geometry_and_purity_guards():
     small = vacuum_wigner(resolution=128)
     with pytest.raises(ConfigurationError):
         overlap_fidelity(vac, small)
+    for bad in (convert_sigma(vac, -1.0), None, vac.values):
+        with pytest.raises(ConfigurationError):
+            overlap_fidelity(bad, vac)
+        with pytest.raises(ConfigurationError):
+            overlap_fidelity(vac, bad)
     mixed = teleport_state(vac, 0.5)  # no longer a pure-state grid
     with pytest.raises(ConfigurationError):
         overlap_fidelity(mixed, vac)
@@ -144,6 +150,11 @@ def test_fock_fidelity_validation():
             fock_fidelity(1, bad)
         with pytest.raises(ConfigurationError):
             squeezed_fidelity(0.5, bad)
+        with pytest.raises(ConfigurationError, match="s_o"):
+            squeezed_fidelity(bad, 0.5)
+    for s_o in (1e3, -400.0):  # cosh(2 s_o) overflows
+        with pytest.raises(DomainError, match="s_o"):
+            squeezed_fidelity(s_o, 0.5)
 
 
 def test_squeezed_fidelity_values():

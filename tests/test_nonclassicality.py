@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import (
-    AccuracyError,
     ConfigurationError,
     DomainError,
     PhotonStats,
     QuadratureStats,
     UnsupportedDeconvolutionError,
-    WignerGrid,
     characteristic,
     coherent_wigner,
     convert_sigma,
     fock_wigner,
-    grid_integrate,
     moment_table,
     moments,
     p_negativity_probe,
@@ -244,6 +241,8 @@ def test_squeezing_threshold():
     assert squeezing_threshold(1.7) is None
     with pytest.raises(DomainError):
         squeezing_threshold(-0.2)
+    with pytest.raises(ConfigurationError):
+        squeezing_threshold(math.nan)
 
 
 def test_squeezing_threshold_consistent_with_transfer():
@@ -271,8 +270,9 @@ def test_p_negativity_probe_fock1():
         p_negativity_probe(g, 0.4, sigma=0.9)
     with pytest.raises(DomainError):
         p_negativity_probe(g, 1.0, sigma=1.2)
-    with pytest.raises(ConfigurationError):
-        p_negativity_probe(convert_sigma(g, -1.0), 1.0, sigma=0.9)
+    for bad in (convert_sigma(g, -1.0), None, g.values):
+        with pytest.raises(ConfigurationError):
+            p_negativity_probe(bad, 1.0, sigma=0.9)
 
 
 def test_p_negativity_probe_matches_teleport_then_convert():

@@ -34,7 +34,7 @@ def test_gauss_hermite_fourth_moment():
 def test_gauss_hermite_rule_invariants():
     for order in (1, 5, 40, 150):
         r = gauss_hermite(order)
-        assert r.order == order
+        assert len(r.nodes) == order
         assert np.all(np.diff(r.nodes) > 0)
         assert np.all(np.asarray(r.weights) > 0)
         assert_allclose(np.sum(r.weights), math.sqrt(math.pi), rtol=0, atol=1e-12)

@@ -62,6 +62,9 @@ def test_grid_validation():
             WignerGrid(sigma=0.0, extent=extent, values=np.zeros((8, 8)))
         with pytest.raises(ConfigurationError, match=f"extent must be finite, got {extent}"):
             fock_wigner(1, extent=extent)
+    for resolution in (0, -1, 8.5):
+        with pytest.raises(ConfigurationError, match="resolution"):
+            fock_wigner(1, resolution=resolution)
 
 
 def test_grid_geometry():

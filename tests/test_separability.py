@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from cvteleport import (
     ChannelParams,
-    GaussianTwoMode,
     NotSeparableError,
     PExponentMatrix,
     channel_is_separable_via_appendix,

@@ -86,6 +86,8 @@ def test_fock_wigner_index_validation():
         fock_wigner(51)
     with pytest.raises(ConfigurationError):
         fock_wigner(1.5)
+    with pytest.raises(ConfigurationError):
+        fock_wigner(True)
 
 
 def test_squeezed_vacuum_wigner():

@@ -72,8 +72,9 @@ def test_teleport_state_validation():
     g = vacuum_wigner()
     with pytest.raises(DomainError):
         teleport_state(g, -0.1)
-    with pytest.raises(ConfigurationError):
-        teleport_state(convert_sigma(g, -1.0), 0.5)
+    for bad in (convert_sigma(g, -1.0), None, g.values):
+        with pytest.raises(ConfigurationError):
+            teleport_state(bad, 0.5)
     with pytest.raises(AccuracyError):
         teleport_state(g, 5.0)  # kernel wider than the grid can hold
 
@@ -183,8 +184,15 @@ def test_protocol_oracle_output_geometry_override():
 
 def test_protocol_oracle_rejects_non_wigner():
     ch = two_mode_squeezed_vacuum(0.5)
-    with pytest.raises(ConfigurationError):
-        protocol_oracle(convert_sigma(vacuum_wigner(resolution=64), -1.0), ch)
+    g = vacuum_wigner(resolution=64)
+    for bad in (convert_sigma(g, -1.0), "x", None):
+        with pytest.raises(ConfigurationError):
+            protocol_oracle(bad, ch)
+        with pytest.raises(ConfigurationError):
+            measurement_density(bad, ch, 0.0, 0.0)
+    for resolution in (0, -1, 8.5):
+        with pytest.raises(ConfigurationError, match="resolution"):
+            protocol_oracle(g, ch, resolution=resolution)
 
 
 def test_measurement_density_vacuum_bare_channel():
