@@ -27,7 +27,8 @@ def gauss_hermite(order: int) -> QuadratureRule:
     Nodes and weights come from the eigendecomposition of the Jacobi
     matrix, which is stable for every order accepted here.
     """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_QUADRATURE_ORDER:
+    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+    if not integer or not 1 <= order <= MAX_QUADRATURE_ORDER:
         raise ConfigurationError(
             f"quadrature order must be an integer in [1, {MAX_QUADRATURE_ORDER}], got {order!r}"
         )

@@ -61,7 +61,8 @@ class WignerGrid:
         ``alpha = axes()[i] + 1j*axes()[j]``.
     profile : callable or None
         Optional exact evaluator ``profile(x, y) -> values`` for the same
-        representation; set by the analytic constructors.
+        representation; set by the analytic constructors.  It may carry
+        ``profile.factors``, the separable form :meth:`factors` returns.
     envelope : tuple or None
         Gaussian envelope hint ``(cx, cy, kx, ky)`` meaning the values decay
         at least like exp(-kx (x-cx)^2 - ky (y-cy)^2); used to place
@@ -134,10 +135,46 @@ class WignerGrid:
         """Evaluate the distribution at arbitrary points, exactly when a
         profile is attached, by quintic spline interpolation otherwise.  Both
         routes broadcast ``x`` against ``y``: profiles are numpy expressions, and
-        ``RectBivariateSpline(..., grid=False)`` obeys numpy broadcasting."""
+        ``RectBivariateSpline(..., grid=False)`` obeys numpy broadcasting.
+        The spline clamps points outside the box to its edge.
+
+        :meth:`factors` gives the same values in separable form, which the
+        protocol quadratures use in place of sampling point by point: for
+        every grid without a profile, and for the constructors' profiles
+        except number states above m = 10 (``states.MAX_FACTORED_FOCK``)."""
         if self.profile is not None:
             return self.profile(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return self._interpolator()(x, y, grid=False)
+
+    def factors(self):
+        """Separable form ``(fx, core, fy)`` of :meth:`sample`, or None.
+
+        ``fx(t)`` and ``fy(t)`` stack basis functions on a new last axis, and
+        ``sample(x, y) = fx(x) @ core @ fy(y)`` point by point.  With a profile
+        this is ``profile.factors`` (Gaussians times even powers; None for a
+        profile without them, such as a number state above
+        ``states.MAX_FACTORED_FOCK``).  Without one it is the cached quintic
+        spline: B-spline design matrices on its knots, with points clipped to
+        the box as the spline clamps them, and its coefficient matrix.
+        """
+        if self.profile is not None:
+            return getattr(self.profile, "factors", None)
+        from scipy.interpolate import BSpline
+
+        spline = self._interpolator()
+        tx, ty, coef = spline.tck
+        kx, ky = spline.degrees
+
+        def basis(knots, k):
+            def design(t):
+                t = np.clip(np.asarray(t, dtype=float), -self.extent, self.extent)
+                rows = BSpline.design_matrix(t.ravel(), knots, k).toarray()
+                return rows.reshape(t.shape + rows.shape[-1:])
+
+            return design
+
+        core = coef.reshape(len(tx) - kx - 1, len(ty) - ky - 1)
+        return basis(tx, kx), core, basis(ty, ky)
 
     def value_at(self, alpha: complex) -> float:
         a = complex(alpha)
@@ -162,16 +199,26 @@ def band_limit(g: WignerGrid) -> float:
 
 
 def _blur_matrix(ax: np.ndarray, std: float) -> np.ndarray:
-    """Row-normalized 1D Gaussian convolution matrix for node spacing ax.
+    """1D Gaussian convolution matrix on the uniform nodes ax, clamped at the edges.
 
-    Row normalization keeps the discrete kernel a partition of unity, so
-    constants are kept (mass only away from the edges).  Every row sum is
-    positive, since the diagonal entry is dx / (std sqrt(2 pi)).
+    The tap at offset d is exp(-(d dx)^2 / 2 std^2) normalized by its sum
+    over the whole lattice, d in Z, so the taps of a row that fall beyond
+    an edge are known; they are added to the first or last column, as if the
+    input held its edge value outside the grid.  Every row then sums to 1
+    and constants are kept.  Mass is not: what an interior node spreads
+    beyond an edge still leaves the grid.
     """
+    n = len(ax)
     dx = ax[1] - ax[0]
-    k = np.exp(-((ax[:, None] - ax[None, :]) ** 2) / (2.0 * std**2))
-    k *= dx / (std * np.sqrt(2.0 * np.pi))
-    return k / k.sum(axis=1, keepdims=True)
+    # offsets past n - 1 only feed the edge columns; past 9 std a tap is below 3e-18
+    taps = np.exp(-((np.arange(n + int(np.ceil(9.0 * std / dx))) * dx) ** 2) / (2.0 * std**2))
+    tails = np.cumsum(taps[::-1])[::-1]  # tails[d]: the taps at offsets >= d, smallest first
+    norm = taps[0] + 2.0 * tails[1]
+    i = np.arange(n)
+    k = taps[np.abs(i[:, None] - i[None, :])]
+    k[:, 0] += tails[i + 1]
+    k[:, -1] += tails[n - i]
+    return k / norm
 
 
 def smooth(g: WignerGrid, var: float) -> WignerGrid:
@@ -188,8 +235,8 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
             f"smoothing kernel width {std:.3g} exceeds what extent {g.extent} can hold"
         )
     ax = g.axes()
-    # the nearest-neighbour tap as _blur_matrix computes it: once it
-    # underflows to 0 (always at var = 0), the kernel is the identity
+    # the nearest-neighbour tap (at the smallest spacing): once it underflows
+    # to 0 (always at var = 0), the kernel is the identity
     with np.errstate(divide="ignore", over="ignore"):
         tap = np.exp(-(np.diff(ax).min() ** 2) / (2.0 * std**2))
     if tap == 0.0:

@@ -11,7 +11,9 @@ as ``phase_space.smooth`` at per-axis variance n_tau / 2.
 mixing of the input with one channel mode, quadrature readout, conditional
 displacement of the other mode) by four-dimensional Gauss-Hermite
 quadrature and serves as an independent cross-check of the convolution
-route.
+route.  It and ``measurement_density`` sum the input over its x and y
+nodes separately wherever the input has a separable form
+(``WignerGrid.factors``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
     isotropic Gaussian of per-axis variance n_tau / 2.
 
     The convolution runs as two separable 1D Gaussian passes with
-    row-normalized kernels, so the n_tau -> 0 limit returns the input.
+    lattice-normalized, edge-clamped kernels whose rows sum to 1, so the
+    n_tau -> 0 limit returns the input and the kernel's reach beyond the
+    grid does not bend the output near the edges.
     """
     n = as_noise(n_tau)
     return smooth(as_grid(w_o, "teleport_state", wigner=True), n / 2.0)
@@ -57,6 +61,11 @@ def _centred_nodes(rule, a, p, b, c):
     return t, rule.weights[None, :] * res / np.sqrt(rho)
 
 
+def _node_sums(basis, nodes, weights):
+    """sum_k weights[p, k] basis(nodes[p, k]): one row of basis sums per point."""
+    return np.einsum("pk,pkc->pc", weights, basis(nodes))
+
+
 def protocol_oracle(
     w_o: WignerGrid,
     ch: GaussianTwoMode,
@@ -78,6 +87,15 @@ def protocol_oracle(
     input profile, the other two are plain Gaussian sums.  The output spans
     the input's extent, at ``resolution`` points a side (the input's by
     default).
+
+    The input nodes of output row i depend only on a_r and those of column
+    j only on a_i, so with the separable form W_o = fx @ core @ fy of
+    :meth:`WignerGrid.factors` the sum is one matrix product
+    ``(weighted fx node sums) @ core @ (weighted fy node sums).T``.  That
+    form exists for the exact profiles of coherent states, squeezed vacua
+    and number states up to ``states.MAX_FACTORED_FOCK``, and for every
+    grid without a profile (its quintic spline); any other profile is
+    sampled at all res^2 q^2 points, in chunks.
     """
     as_grid(w_o, "protocol_oracle", wigner=True)
     resolution = w_o.resolution if resolution is None else resolution
@@ -95,14 +113,19 @@ def protocol_oracle(
     yo, wy = _centred_nodes(rule, k_ker, ax_out, ky, cy)
 
     pref = ch.norm * sum_s**2
-    out = np.empty((resolution, resolution))
-    chunk = max(1, int(4e6 // (order * order * resolution)))
-    for lo in range(0, resolution, chunk):
-        hi = min(lo + chunk, resolution)
-        wo_vals = w_o.sample(
-            xo[lo:hi][:, :, None, None], yo[None, None, :, :]
-        )  # (chunk, q, res, q)
-        out[lo:hi] = pref * np.einsum("rkil,rk,il->ri", wo_vals, wx[lo:hi], wy)
+    factors = w_o.factors()
+    if factors is not None:
+        fx, core, fy = factors
+        out = pref * (_node_sums(fx, xo, wx) @ core @ _node_sums(fy, yo, wy).T)
+    else:
+        out = np.empty((resolution, resolution))
+        chunk = max(1, int(4e6 // (order * order * resolution)))
+        for lo in range(0, resolution, chunk):
+            hi = min(lo + chunk, resolution)
+            wo_vals = w_o.sample(
+                xo[lo:hi][:, :, None, None], yo[None, None, :, :]
+            )  # (chunk, q, res, q)
+            out[lo:hi] = pref * np.einsum("rkil,rk,il->ri", wo_vals, wx[lo:hi], wy)
     return WignerGrid(sigma=0.0, extent=w_o.extent, values=out)
 
 
@@ -116,6 +139,11 @@ def measurement_density(
     output, Re of the other), marginalized over everything unread.
 
     Accepts scalars or broadcastable arrays and returns matching shape.
+    At each readout point the input's x nodes and y nodes are separate
+    axes, so with the separable form of :meth:`WignerGrid.factors` (the
+    same cases as in :func:`protocol_oracle`) the density is the row-wise
+    ``einsum("pc,cd,pd->p", Md, core, Me)`` of the weighted node sums;
+    otherwise the profile is sampled at all q^2 nodes of each point.
     """
     as_grid(w_o, "measurement_density", wigner=True)
     di, er = np.broadcast_arrays(
@@ -134,7 +162,12 @@ def measurement_density(
     en, we = _centred_nodes(rule, c_ch, -di, 0.5 * ky, di - np.sqrt(2.0) * cy)
     x_o = (dn - er[:, None]) / np.sqrt(2.0)  # (np, q)
     y_o = (di[:, None] - en) / np.sqrt(2.0)
-    wo_vals = w_o.sample(x_o[:, :, None], y_o[:, None, :])
-    out = ch.norm * sum_c**2 * np.einsum("pkl,pk,pl->p", wo_vals, wd, we)
-    out = out.reshape(shape)
+    factors = w_o.factors()
+    if factors is not None:
+        fx, core, fy = factors
+        sums = np.einsum("pc,cd,pd->p", _node_sums(fx, x_o, wd), core, _node_sums(fy, y_o, we))
+    else:
+        wo_vals = w_o.sample(x_o[:, :, None], y_o[:, None, :])
+        sums = np.einsum("pkl,pk,pl->p", wo_vals, wd, we)
+    out = (ch.norm * sum_c**2 * sums).reshape(shape)
     return out if out.ndim else float(out)

@@ -3,8 +3,8 @@
 Each criterion pits two independent routes against each other (closed form
 vs grid quadrature, convolution vs protocol integral, algebra vs ODE) at a
 fixed tolerance.  ``run_all`` executes them in order and reports one result
-per criterion; the quick level skips the four-dimensional protocol-oracle
-lattice, which dominates the runtime.
+per criterion; the quick level skips criterion 3, the four-dimensional
+protocol-oracle lattice.
 """
 
 from __future__ import annotations

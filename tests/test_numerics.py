@@ -55,6 +55,9 @@ def test_gauss_hermite_order_bounds():
         gauss_hermite(0)
     with pytest.raises(ConfigurationError):
         gauss_hermite(201)
+    for flag in (True, False):
+        with pytest.raises(ConfigurationError):
+            gauss_hermite(flag)
 
 
 def test_grid_integrate_normalized_states():

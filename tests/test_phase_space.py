@@ -89,6 +89,17 @@ def test_spline_sampling_matches_profile():
     assert_allclose(bare.sample(*pts), g.sample(*pts), rtol=0, atol=1e-9)
 
 
+def test_spline_factors_match_sample():
+    bare = replace(fock_wigner(2, 6.0, 64), profile=None)
+    fx, core, fy = bare.factors()
+    rng = np.random.default_rng(3)
+    # the box is [-6, 6]^2; half the points lie outside it, where the spline clamps
+    x, y = rng.uniform(-9.0, 9.0, (2, 400))
+    got = np.einsum("pc,cd,pd->p", fx(x), core, fy(y))
+    assert_allclose(got, bare.sample(x, y), rtol=0, atol=1e-15)
+    assert fx(x.reshape(20, 20)).shape == (20, 20, core.shape[0])
+
+
 def test_sample_broadcasts_on_both_routes():
     g = fock_wigner(1, 6.0, 96)
     bare = replace(g, profile=None)
@@ -286,8 +297,8 @@ def test_write_text_keeps_links_modes_and_special_files(tmp_path):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="row-normalized kernels keep constants, not mass: near the edges the "
-    "column sums differ from the trapezoid weights (1e-2 at the widest kernel)",
+    reason="edge-clamped kernels keep constants, not mass: what an interior node "
+    "spreads past an edge leaves the grid (2e-3 at the widest kernel)",
 )
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @example(label="fock 1", var=_MAX_VAR)

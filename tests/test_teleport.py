@@ -28,7 +28,21 @@ from cvteleport import (
     vacuum_wigner,
     verify,
 )
-from cvteleport.verify import criterion_4
+from cvteleport.states import MAX_FACTORED_FOCK
+from cvteleport.verify import ORACLE_CHANNELS, criterion_4
+
+_FACTORED_INPUTS = {
+    "vacuum": vacuum_wigner(8.0, 32),
+    "fock 1": fock_wigner(1, 8.0, 32),
+    "fock 2": fock_wigner(2, 8.0, 32),
+    "squeezed 0.7": squeezed_vacuum_wigner(0.7, 8.0, 32),
+    "coherent 1-0.5j": coherent_wigner(1.0 - 0.5j, 8.0, 32),
+}
+
+
+def _pointwise(g):
+    # the same profile without its factors, so the quadratures sample it point by point
+    return replace(g, profile=lambda x, y: g.profile(x, y))
 
 
 def test_teleport_state_zero_noise_is_identity():
@@ -173,6 +187,53 @@ def test_protocol_oracle_spline_fallback():
     assert_allclose(got.values, want.values, rtol=0, atol=1e-6)
 
 
+def test_profile_factors_reproduce_profiles():
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-7.0, 7.0, (2, 500))
+    grids = [teleported_fock_wigner(m, n, 8.0, 16) for m in range(MAX_FACTORED_FOCK + 1)
+             for n in (0.0, 0.3, 0.5, 2.0)]
+    grids += [teleported_squeezed_wigner(s_o, n, 8.0, 16) for s_o in (-0.7, 0.0, 1.0)
+              for n in (0.0, 0.4)]
+    grids += [coherent_wigner(mu, 8.0, 16) for mu in (0.0, 1.5 - 0.5j)]
+    for g in grids:
+        fx, core, fy = g.factors()
+        got = np.einsum("pc,cd,pd->p", fx(x), core, fy(y))
+        assert_allclose(got, g.profile(x, y), rtol=0, atol=1e-12)
+
+
+def test_factored_quadratures_match_pointwise():
+    ax = np.linspace(-4.0, 4.0, 9)
+    for params in ORACLE_CHANNELS[:2] + ORACLE_CHANNELS[-1:]:
+        ch = evolve_channel(ChannelParams(*params))
+        for g in _FACTORED_INPUTS.values():
+            exact = _pointwise(g)
+            assert exact.factors() is None
+            got = protocol_oracle(g, ch).values
+            assert np.abs(got - protocol_oracle(exact, ch).values).max() <= 1e-13
+            dens = measurement_density(g, ch, ax[:, None], ax[None, :])
+            want = measurement_density(exact, ch, ax[:, None], ax[None, :])
+            assert np.abs(dens - want).max() <= 1e-13
+
+
+def test_protocol_oracle_pointwise_above_factored_cap():
+    p = ChannelParams(s_qc=1.0, n_bar=0.5, T=0.5)
+    g = fock_wigner(MAX_FACTORED_FOCK + 1, 8.0, 32)
+    assert g.factors() is None
+    got = protocol_oracle(g, evolve_channel(p))
+    want = teleported_fock_wigner(MAX_FACTORED_FOCK + 1, noise_factor(p), 8.0, 32)
+    assert np.abs(got.values - want.values).max() <= 1e-12
+
+
+def test_teleport_state_wide_kernel_meets_closed_form():
+    # n_tau ~ 3.72: the kernel reaches the edges of the 8.0 box, which the
+    # edge clamp keeps from leaking into the output
+    p = ChannelParams(s_qc=0.28649, n_bar=1.42073, T=0.96174)
+    n = noise_factor(p)
+    out = teleport_state(squeezed_vacuum_wigner(0.7, 8.0, 128), n)
+    want = teleported_squeezed_wigner(0.7, n, 8.0, 128)
+    assert np.abs(out.values - want.values).max() <= 1e-12
+
+
 def test_protocol_oracle_output_geometry_override():
     ch = two_mode_squeezed_vacuum(0.5)
     g = vacuum_wigner(resolution=64)
@@ -193,6 +254,8 @@ def test_protocol_oracle_rejects_non_wigner():
     for resolution in (0, -1, 8.5):
         with pytest.raises(ConfigurationError, match="resolution"):
             protocol_oracle(g, ch, resolution=resolution)
+    with pytest.raises(ConfigurationError, match="quadrature order"):
+        protocol_oracle(g, ch, order=True)
 
 
 def test_measurement_density_vacuum_bare_channel():
