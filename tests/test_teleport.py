@@ -31,13 +31,13 @@ from cvteleport import (
 from cvteleport.states import MAX_FACTORED_FOCK
 from cvteleport.verify import ORACLE_CHANNELS, criterion_4
 
-_FACTORED_INPUTS = {
-    "vacuum": vacuum_wigner(8.0, 32),
-    "fock 1": fock_wigner(1, 8.0, 32),
-    "fock 2": fock_wigner(2, 8.0, 32),
-    "squeezed 0.7": squeezed_vacuum_wigner(0.7, 8.0, 32),
-    "coherent 1-0.5j": coherent_wigner(1.0 - 0.5j, 8.0, 32),
-}
+_FACTORED_INPUTS = (
+    vacuum_wigner(8.0, 32),
+    fock_wigner(1, 8.0, 32),
+    fock_wigner(2, 8.0, 32),
+    squeezed_vacuum_wigner(0.7, 8.0, 32),
+    coherent_wigner(1.0 - 0.5j, 8.0, 32),
+)
 
 
 def _pointwise(g):
@@ -205,7 +205,7 @@ def test_factored_quadratures_match_pointwise():
     ax = np.linspace(-4.0, 4.0, 9)
     for params in ORACLE_CHANNELS[:2] + ORACLE_CHANNELS[-1:]:
         ch = evolve_channel(ChannelParams(*params))
-        for g in _FACTORED_INPUTS.values():
+        for g in _FACTORED_INPUTS:
             exact = _pointwise(g)
             assert exact.factors() is None
             got = protocol_oracle(g, ch).values
