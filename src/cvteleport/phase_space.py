@@ -198,15 +198,21 @@ def band_limit(g: WignerGrid) -> float:
     return np.pi * g.resolution / (2.0 * g.extent)
 
 
-def _blur_matrix(ax: np.ndarray, std: float) -> np.ndarray:
-    """1D Gaussian convolution matrix on the uniform nodes ax, clamped at the edges.
+def _blur_matrix(ax: np.ndarray, std: float, scale: float) -> np.ndarray:
+    """``scale`` times the 1D Gaussian convolution matrix on the uniform nodes
+    ax, clamped at the edges.
 
     The tap at offset d is exp(-(d dx)^2 / 2 std^2) normalized by its sum
     over the whole lattice, d in Z, so the taps of a row that fall beyond
     an edge are known; they are added to the first or last column, as if the
-    input held its edge value outside the grid.  Every row then sums to 1
-    and constants are kept.  Mass is not: what an interior node spreads
-    beyond an edge still leaves the grid.
+    input held its edge value outside the grid.  Every row then sums to
+    ``scale`` and constants are kept.  Mass is not: what an interior node
+    spreads beyond an edge still leaves the grid.
+
+    The interior is a symmetric Toeplitz matrix, a mirrored sliding window
+    over the normalized taps.  Each entry is rounded as ``tap / norm`` and
+    then scaled, so for a power-of-two ``scale`` the matrix is exactly
+    ``scale`` times the one at scale 1, subnormal entries included.
     """
     n = len(ax)
     dx = ax[1] - ax[0]
@@ -214,11 +220,21 @@ def _blur_matrix(ax: np.ndarray, std: float) -> np.ndarray:
     taps = np.exp(-((np.arange(n + int(np.ceil(9.0 * std / dx))) * dx) ** 2) / (2.0 * std**2))
     tails = np.cumsum(taps[::-1])[::-1]  # tails[d]: the taps at offsets >= d, smallest first
     norm = taps[0] + 2.0 * tails[1]
-    i = np.arange(n)
-    k = taps[np.abs(i[:, None] - i[None, :])]
-    k[:, 0] += tails[i + 1]
-    k[:, -1] += tails[n - i]
-    return k / norm
+    row = taps[:n] / norm * scale
+    # window n - 1 - i of [row[n-1], ..., row[1], row[0], row[1], ..., row[n-1]]
+    # is row i of the Toeplitz matrix row[|i - j|]
+    k = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1].copy()
+    # row i of the first column holds tap i plus the taps beyond the edge,
+    # taps[i] + tails[i + 1], which the running sum has already added as tails[i]
+    k[:, 0] = tails[:n] / norm * scale
+    k[:, -1] = k[::-1, 0]
+    return k
+
+
+# the kernel carries 2^300 and the grid is scaled so that |values| < 2^420: the
+# products stay below 2^1020, and what is not negligible stays normal
+_KERNEL_EXP = 300
+_GRID_EXP = 420
 
 
 def smooth(g: WignerGrid, var: float) -> WignerGrid:
@@ -228,6 +244,15 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
     and the P-negativity probe all reduce to this one smoothing.  The
     result keeps ``sigma``, drops the profile, widens the envelope, and
     stays pure only when var = 0.
+
+    The two products run on scaled operands, the kernel times 2^300 and
+    the grid times 2^(420 - e) where |values| < 2^e, and the result is
+    scaled back.  Narrow kernels have taps near the bottom of the double
+    range, and their products with small grid values would otherwise
+    fall into subnormal arithmetic, which is several times slower and
+    rounds at a fixed absolute granularity.  Scaling by a power of two is
+    exact, so every result that stays normal either way is unchanged; no
+    product can overflow for any finite grid.
     """
     std = np.sqrt(var)
     if 4.0 * std > g.extent:
@@ -242,8 +267,16 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
     if tap == 0.0:
         values = g.values.copy()
     else:
-        k = _blur_matrix(ax, std)
-        values = k @ g.values @ k.T
+        k = _blur_matrix(ax, std, np.ldexp(1.0, _KERNEL_EXP))
+        top = int(np.frexp(np.abs(g.values).max())[1])
+        # np.ldexp, since the exponents can pass the range of 2.0**e; the
+        # scaled grid is a temporary, so at most two res x res arrays besides
+        # the kernel and the input are alive at once, as without scaling.
+        # Scaling back into a new array, not in place, leaves the heap as the
+        # unscaled products did: in place, a later 256^2 load_grid peaked
+        # 1.3 MB higher.
+        values = k @ np.ldexp(g.values, _GRID_EXP - top) @ k.T
+        values = np.ldexp(values, top - _GRID_EXP - 2 * _KERNEL_EXP)
     envelope = g.envelope
     if envelope is not None:
         cx, cy, kx, ky = envelope
@@ -336,11 +369,14 @@ def save_grid(g: WignerGrid, basepath: str):
     csv_path = f"{basepath}.csv"
     json_path = f"{basepath}.json"
     ax = [f"{a:.12g}" for a in g.axes().tolist()]
+    # one row of the file, with NUL standing for alpha_r and %.12g (which
+    # prints a float as f"{v:.12g}" does) for each value
+    template = "".join(f"\0,{y},%.12g\r\n" for y in ax)
 
     def rows():
         yield "alpha_r,alpha_i,value\r\n"
         for x, row in zip(ax, g.values):
-            yield "".join(f"{x},{y},{v:.12g}\r\n" for y, v in zip(ax, row.tolist()))
+            yield template.replace("\0", x) % tuple(row.tolist())
 
     _write_text(csv_path, rows())
     header = {"sigma": g.sigma, "extent": g.extent, "resolution": g.resolution}

@@ -128,6 +128,9 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     code, _, err = _run(capsys, ["noise-sweep", "--time", "0:1:0"])
     assert code == 1
     assert "at least one step" in err
+    code, out, _ = _run(capsys, ["noise-sweep", "--time", "0:1:1"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
     code, _, err = _run(capsys, ["noise-sweep", "--time", "1.5"])
     assert code == 1
     export = ["teleport-export", "--ntau", "0.3", "--out", str(tmp_path / "out"), "--state"]

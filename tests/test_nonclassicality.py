@@ -196,6 +196,8 @@ def test_sub_poisson_threshold():
     # Poissonian and super-Poissonian inputs give nothing
     assert sub_poisson_threshold(PhotonStats(mean=1.0, variance=1.0)) is None
     assert sub_poisson_threshold(PhotonStats(mean=1.0, variance=2.0)) is None
+    # a radicand N^2 + N - (dN)^2 of exactly 0 is not sub-Poissonian either
+    assert sub_poisson_threshold(PhotonStats(mean=3.0, variance=12.0)) is None
     # threshold approaches 1/2 from below for bright sub-Poissonian states
     thr = sub_poisson_threshold(PhotonStats(mean=1e6, variance=0.0))
     assert 0.49 < thr < 0.5

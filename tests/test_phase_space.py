@@ -31,7 +31,7 @@ from cvteleport import (
     squeezed_vacuum_wigner,
     vacuum_wigner,
 )
-from cvteleport.phase_space import _write_text, smooth
+from cvteleport.phase_space import _blur_matrix, _write_text, smooth
 
 _SMOOTH_INPUTS = {
     "vacuum": vacuum_wigner(resolution=128),
@@ -65,6 +65,11 @@ def test_grid_validation():
     for resolution in (0, -1, 8.5):
         with pytest.raises(ConfigurationError, match="resolution"):
             fock_wigner(1, resolution=resolution)
+    # the accepting side of each boundary: side 8 and sigma = +-1
+    assert WignerGrid(sigma=0.0, extent=6.0, values=np.zeros((8, 8))).resolution == 8
+    assert fock_wigner(1, resolution=8).resolution == 8
+    for sigma in (1.0, -1.0):
+        assert WignerGrid(sigma=sigma, extent=6.0, values=vals).sigma == sigma
 
 
 def test_grid_geometry():
@@ -322,3 +327,66 @@ def test_smooth_identity_kernel_returns_input_silently():
         warnings.simplefilter("error")
         out = smooth(g, 1e-310)
     assert np.array_equal(out.values, g.values)
+
+
+def _reference_blur(ax, std):
+    """The edge-clamped kernel built as a fancy index into the taps, with
+    the edge tails added and one division by the norm at the end."""
+    n = len(ax)
+    dx = ax[1] - ax[0]
+    taps = np.exp(-((np.arange(n + int(np.ceil(9.0 * std / dx))) * dx) ** 2) / (2.0 * std**2))
+    tails = np.cumsum(taps[::-1])[::-1]
+    norm = taps[0] + 2.0 * tails[1]
+    i = np.arange(n)
+    k = taps[np.abs(i[:, None] - i[None, :])]
+    k[:, 0] += tails[i + 1]
+    k[:, -1] += tails[n - i]
+    return k / norm
+
+
+@pytest.mark.parametrize("extent", (6.0, 8.0))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda e: fock_wigner(1, e),
+        lambda e: fock_wigner(3, e),
+        lambda e: squeezed_vacuum_wigner(0.5, e),
+        lambda e: squeezed_vacuum_wigner(1.0, e),
+        lambda e: squeezed_vacuum_wigner(1.5, e),
+    ],
+    ids=["fock 1", "fock 3", "squeezed 0.5", "squeezed 1.0", "squeezed 1.5"],
+)
+def test_scaled_smoothing_matches_unscaled_products(make, extent):
+    # scaling by powers of two is exact, so only entries that the unscaled
+    # products leave subnormal (or nearly so) may move
+    g = make(extent)
+    ax = g.axes()
+    for n_tau in (1e-3, 0.05, 0.3, 2.0):
+        std = np.sqrt(n_tau / 2.0)
+        k = _reference_blur(ax, std)
+        assert np.array_equal(_blur_matrix(ax, std, 1.0), k)
+        assert np.array_equal(_blur_matrix(ax, std, 2.0**300), np.ldexp(k, 300))
+        want = k @ g.values @ k.T
+        got = smooth(g, n_tau / 2.0).values
+        normal = np.abs(want) >= 1e-300
+        assert np.array_equal(got[normal], want[normal]), n_tau
+
+
+@pytest.mark.parametrize("peak", [0.0, 1e-310, 1e-300, 1e300, "1e300 and subnormals"])
+def test_smooth_scales_any_finite_grid_silently(peak):
+    shape = fock_wigner(1, resolution=64).values
+    if peak == "1e300 and subnormals":
+        values = np.where(shape > 0.0, 5e-324, -1e-310)
+        values[32, 32] = 1e300
+    else:
+        values = shape / np.abs(shape).max() * peak
+    g = WignerGrid(sigma=0.0, extent=6.0, values=values)
+    for var in (1e-3, 0.025, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = smooth(g, var).values
+        assert np.all(np.isfinite(out))
+        if peak in (1e-310, 1e-300, 1e300):
+            # smoothing commutes with scaling by the peak
+            unit = smooth(replace(g, values=shape / np.abs(shape).max()), var).values
+            assert_allclose(out / peak, unit, rtol=0, atol=1e-12)

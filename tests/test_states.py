@@ -132,6 +132,8 @@ def test_coherent_wigner_extent_guard():
     with pytest.raises(ConfigurationError):
         coherent_wigner(4.0, extent=6.0)
     coherent_wigner(4.0, extent=8.0)
+    # |mu| + 3 = extent is accepted
+    assert coherent_wigner(3.0, extent=6.0).extent == 6.0
 
 
 def _random_points(seed, count=30):
