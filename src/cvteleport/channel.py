@@ -3,10 +3,10 @@
 The two modes of the channel couple to independent thermal baths with mean
 occupation ``n_bar`` and damping rate ``gamma``; time enters through the
 renormalized variable T = 1 - exp(-gamma t) in [0, 1].  The Gaussian channel
-state keeps the form of :class:`GaussianTwoMode` with
+state keeps the form of :class:`GaussianTwoMode`, with normal-mode variances
 
-    gamma(T) = T (1 + 2 n_bar) + (1 - T) cosh(2 s_qc)
-    lam(T)   = (1 - T) sinh(2 s_qc)
+    n_minus(T) = T (1 + 2 n_bar) + (1 - T) exp(-2 s_qc)   (= n_tau)
+    n_plus(T)  = T (1 + 2 n_bar) + (1 - T) exp(+2 s_qc)
 """
 
 from __future__ import annotations
@@ -21,31 +21,36 @@ from .errors import ConfigurationError, DomainError
 
 @dataclass(frozen=True)
 class GaussianTwoMode:
-    """Zero-mean two-mode Gaussian Wigner function of the channel state.
+    """Zero-mean two-mode Gaussian Wigner function of the channel state,
+    held as the variances of its normal modes (a_b -/+ conj(a_c)) / sqrt2:
 
-    W(a_b, a_c) = norm * exp(-2 gamma (|a_b|^2 + |a_c|^2) / (gamma^2 - lam^2)
-                             + 2 lam (a_b a_c + conj) / (gamma^2 - lam^2))
+    W(a_b, a_c) = norm * exp(-|a_b - conj(a_c)|^2 / n_minus
+                             - |a_b + conj(a_c)|^2 / n_plus)
 
-    ``gamma`` is the common single-mode width parameter, ``lam`` the
-    cross-mode correlation.  Physical channels satisfy gamma >= 1,
-    gamma > |lam| and gamma^2 - lam^2 >= 1.
+    ``n_minus`` is the noise n_tau; the paper's gamma and lam are (n_plus +/- n_minus) / 2.
+    Physical states have n_minus, n_plus > 0 and n_minus n_plus >= 1, so gamma >= 1.
     """
 
-    gamma: float
-    lam: float
+    n_minus: float
+    n_plus: float
 
     def __post_init__(self):
-        for name in ("gamma", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.gamma < 1.0 - 1e-12:
-            raise ConfigurationError(f"gamma must be >= 1, got {self.gamma}")
-        if self.gamma**2 - self.lam**2 < 1.0 - 1e-9:
-            raise ConfigurationError("gamma^2 - lam^2 must be >= 1 for a physical state")
+        if not (0.0 < self.n_minus < math.inf and 0.0 < self.n_plus < math.inf):
+            raise ConfigurationError(f"n_minus and n_plus must lie in (0, inf), got {self}")
+        if self.n_minus * self.n_plus < 1.0 - 1e-9:
+            raise ConfigurationError(f"n_minus * n_plus must be >= 1, got {self}")
+
+    @property
+    def gamma(self) -> float:
+        return 0.5 * (self.n_plus + self.n_minus)
+
+    @property
+    def lam(self) -> float:
+        return 0.5 * (self.n_plus - self.n_minus)
 
     @property
     def norm(self) -> float:
-        return 4.0 / (np.pi**2 * (self.gamma**2 - self.lam**2))
+        return 4.0 / (np.pi**2 * (self.n_minus * self.n_plus))
 
 
 def two_mode_squeezed_vacuum(s_qc: float) -> GaussianTwoMode:
@@ -108,9 +113,15 @@ def as_noise(n_tau) -> float:
 
 def evolve_channel(p: ChannelParams) -> GaussianTwoMode:
     """Channel state after bath contact for renormalized time T."""
-    gamma = p.T * (1.0 + 2.0 * p.n_bar) + (1.0 - p.T) * np.cosh(2.0 * p.s_qc)
-    lam = (1.0 - p.T) * np.sinh(2.0 * p.s_qc)
-    return GaussianTwoMode(gamma=float(gamma), lam=float(lam))
+    try:
+        grow = math.exp(2.0 * p.s_qc)
+    except OverflowError:
+        raise DomainError(f"s_qc = {p.s_qc} is too large: exp(2 s_qc) overflows") from None
+    return GaussianTwoMode(_mode_variance(p, np.exp(-2.0 * p.s_qc)), _mode_variance(p, grow))
+
+
+def _mode_variance(p: ChannelParams, start: float) -> float:
+    return float((2.0 * p.n_bar + 1.0) * p.T + (1.0 - p.T) * start)
 
 
 def integrate_moment_flow(p: ChannelParams):
@@ -147,10 +158,9 @@ def noise_factor(p: ChannelParams) -> NoiseFactor:
 
     n_tau = (2 n_bar + 1) T + (1 - T) exp(-2 s_qc),
 
-    which equals gamma(T) - lam(T) of the channel state.
+    which is the channel state's n_minus, bit for bit.
     """
-    value = (2.0 * p.n_bar + 1.0) * p.T + (1.0 - p.T) * np.exp(-2.0 * p.s_qc)
-    return NoiseFactor(value=float(value))
+    return NoiseFactor(value=_mode_variance(p, np.exp(-2.0 * p.s_qc)))
 
 
 def direct_noise(p: ChannelParams) -> NoiseFactor:

@@ -254,6 +254,10 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
     exact, so every result that stays normal either way is unchanged; no
     product can overflow for any finite grid.
     """
+    if not math.isfinite(var):
+        raise ConfigurationError(f"smoothing variance must be finite, got {var}")
+    if var < 0.0:
+        raise DomainError(f"smoothing variance must be >= 0, got {var}")
     std = np.sqrt(var)
     if 4.0 * std > g.extent:
         raise AccuracyError(

@@ -50,18 +50,18 @@ def p_exponent_from_channel(g: GaussianTwoMode):
     """P-function exponent matrix of the channel state, mode c conjugated.
 
     Deconvolving one vacuum unit per mode from the Wigner Gaussian shifts
-    the characteristic exponent by (|xi_b|^2 + |xi_c|^2)/2; conjugating
-    mode c turns the Re(xi_b xi_c) cross term into a Hermitian one.  The
-    resulting Gaussian is normalizable iff gamma - 1 > |lam|, i.e. iff the
-    noise factor exceeds 1; otherwise returns None.
+    the characteristic exponent by (|xi_b|^2 + |xi_c|^2)/2, taking 1 from each
+    normal-mode variance; conjugating mode c turns the Re(xi_b xi_c) cross
+    term into a Hermitian one.  The resulting Gaussian is normalizable iff
+    n_minus - 1 and n_plus - 1 are both positive; otherwise returns None.
     """
-    gm1 = g.gamma - 1.0
-    if gm1 <= abs(g.lam):
+    if min(g.n_minus, g.n_plus) <= 1.0:
         return None
-    d = gm1**2 - g.lam**2
+    d = (g.n_minus - 1.0) * (g.n_plus - 1.0)
+    diag = (g.n_minus + g.n_plus - 2.0) / d
     # the conjugation maps the +Re(a_b a_c) coupling onto a negative
     # Hermitian cross term; the sign is pinned by the characteristic identity
-    return PExponentMatrix(n_bb=2.0 * gm1 / d, n_cc=2.0 * gm1 / d, n_bc=-2.0 * g.lam / d)
+    return PExponentMatrix(n_bb=diag, n_cc=diag, n_bc=(g.n_minus - g.n_plus) / d)
 
 
 def check_criterion(n: PExponentMatrix) -> bool:
@@ -146,4 +146,4 @@ def is_boundary_case(g: GaussianTwoMode) -> bool:
     """True when the noise factor lies within 1e-9 of the separability
     boundary, where the strict criterion and the closed-form verdict
     (n_tau >= 1) disagree."""
-    return abs((g.gamma - g.lam) - 1.0) <= 1e-9
+    return abs(g.n_minus - 1.0) <= 1e-9

@@ -5,7 +5,7 @@ adds isotropic noise: the output is the convolution
 
     W_r = P_tau * W_o,   P_tau(d) = 1/(pi n_tau) exp(-|d|^2 / n_tau),
 
-with n_tau = gamma - lam of the channel state; ``teleport_state`` runs it
+with n_tau the channel state's ``n_minus``; ``teleport_state`` runs it
 as ``phase_space.smooth`` at per-axis variance n_tau / 2.
 ``protocol_oracle`` instead evaluates the full protocol integral (balanced
 mixing of the input with one channel mode, quadrature readout, conditional
@@ -39,11 +39,6 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
     """
     n = as_noise(n_tau)
     return smooth(as_grid(w_o, "teleport_state", wigner=True), n / 2.0)
-
-
-def _channel_coeffs(ch: GaussianTwoMode):
-    det = ch.gamma**2 - ch.lam**2
-    return 2.0 * ch.gamma / det, 2.0 * ch.lam / det
 
 
 def _envelope(w_o: WignerGrid):
@@ -100,12 +95,11 @@ def protocol_oracle(
     as_grid(w_o, "protocol_oracle", wigner=True)
     resolution = w_o.resolution if resolution is None else resolution
     check_geometry(w_o.extent, resolution)
-    a, b = _channel_coeffs(ch)
     rule = gauss_hermite(order)
 
-    # the two displacement-conjugate dimensions hold pure Gaussians
-    sum_s = rule.weights.sum() / np.sqrt(2.0 * (a - b))
-    k_ker = 0.5 * (a + b)
+    # the two displacement-conjugate dimensions hold pure Gaussians of curvature 4 / n_plus
+    sum_s = rule.weights.sum() * np.sqrt(ch.n_plus) / 2.0
+    k_ker = 1.0 / ch.n_minus
 
     cx, cy, kx, ky = _envelope(w_o)
     ax_out = np.linspace(-w_o.extent, w_o.extent, resolution)
@@ -152,10 +146,9 @@ def measurement_density(
     shape = di.shape
     di = di.ravel()
     er = er.ravel()
-    a, b = _channel_coeffs(ch)
     rule = _DENSITY_RULE
-    sum_c = rule.weights.sum() / np.sqrt(a)  # unread channel quadratures
-    c_ch = (a**2 - b**2) / (2.0 * a)  # background curvature left on the splitter mode
+    sum_c = rule.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)  # unread quadratures
+    c_ch = 2.0 / (ch.n_minus + ch.n_plus)  # background curvature left on the splitter mode
 
     cx, cy, kx, ky = _envelope(w_o)
     dn, wd = _centred_nodes(rule, c_ch, -er, 0.5 * kx, er + np.sqrt(2.0) * cx)  # (np, q)

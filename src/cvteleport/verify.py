@@ -105,7 +105,7 @@ def criterion_1():
 
 
 def criterion_2():
-    """Noise-factor identity and the teleport-vs-direct gap."""
+    """Noise factor vs the paper's cosh/sinh gamma - lam, and the teleport-vs-direct gap."""
     rng = np.random.default_rng(_SEED)
     worst_n = worst_g = 0.0
     for _ in range(100):
@@ -114,8 +114,9 @@ def criterion_2():
             n_bar=rng.uniform(0.0, 3.0),
             T=rng.uniform(0.0, 1.0),
         )
-        ch = evolve_channel(p)
-        worst_n = max(worst_n, abs(noise_factor(p).value - (ch.gamma - ch.lam)))
+        gamma = p.T * (1.0 + 2.0 * p.n_bar) + (1.0 - p.T) * np.cosh(2.0 * p.s_qc)
+        lam = (1.0 - p.T) * np.sinh(2.0 * p.s_qc)
+        worst_n = max(worst_n, abs(noise_factor(p).value - (gamma - lam)))
         half = ChannelParams(s_qc=p.s_qc, n_bar=p.n_bar, T=1.0 - sqrt(1.0 - p.T))
         gap_identity = noise_factor(half).value - direct_noise(p).value
         gap = teleport_vs_direct_gap(p)
@@ -365,15 +366,7 @@ def run_all(level: str = "quick"):
     results = []
     for number, name, fn in _CRITERIA:
         if number == 3 and level == "quick":
-            results.append(
-                CriterionResult(
-                    criterion=3,
-                    name=name,
-                    passed=None,
-                    detail="skipped at quick level",
-                    seconds=0.0,
-                )
-            )
+            results.append(CriterionResult(number, name, None, "skipped at quick level", 0.0))
             continue
         t0 = time.perf_counter()
         passed, detail = fn()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import (
     ChannelParams,
     ConfigurationError,
+    CvtError,
     DomainError,
     NoiseFactor,
     direct_noise,
@@ -69,6 +72,25 @@ def test_evolve_channel_limits():
     p1 = ChannelParams(s_qc=0.8, n_bar=1.5, T=1.0)
     dead = evolve_channel(p1)
     assert_allclose((dead.gamma, dead.lam), (4.0, 0.0), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 20.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+def test_evolve_channel_normal_modes(s_qc, n_bar, T):
+    p = ChannelParams(s_qc=s_qc, n_bar=n_bar, T=T)
+    ch = evolve_channel(p)
+    assert ch.n_minus == noise_factor(p).value
+    assert ch.n_minus * ch.n_plus >= 1.0 - 1e-9
+    # n_minus mixes the bath's 1 + 2 n_bar with the squeezed e^{-2 s_qc}
+    ends = (1.0 + 2.0 * n_bar, np.exp(-2.0 * s_qc))
+    assert min(ends) * (1.0 - 1e-15) <= ch.n_minus <= max(ends) * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("T", [0.0, 0.5, 1.0])
+def test_evolve_channel_rejects_overflowing_squeezing(T):
+    # e^{2 s_qc} overflows; tier-1 turns a numpy overflow warning into an error
+    with pytest.raises(CvtError, match="s_qc"):
+        evolve_channel(ChannelParams(s_qc=400.0, n_bar=0.0, T=T))
 
 
 def test_evolve_channel_midpoint():

@@ -272,6 +272,8 @@ def test_p_negativity_probe_fock1():
         p_negativity_probe(g, 0.4, sigma=0.9)
     with pytest.raises(DomainError):
         p_negativity_probe(g, 1.0, sigma=1.2)
+    with pytest.raises(ConfigurationError):
+        p_negativity_probe(g, 1.0, sigma=np.nan)
     for bad in (convert_sigma(g, -1.0), None, g.values):
         with pytest.raises(ConfigurationError):
             p_negativity_probe(bad, 1.0, sigma=0.9)

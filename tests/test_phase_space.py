@@ -320,6 +320,21 @@ def test_smooth_preserves_constants(var, level):
     assert_allclose(smooth(g, var).values, level, rtol=0, atol=1e-12)
 
 
+def test_smooth_checks_its_variance():
+    # non-finite or negative variances raise before the kernel is sized
+    g = fock_wigner(1, resolution=32)
+    with pytest.raises(ConfigurationError, match="finite"):
+        smooth(g, np.nan)
+    with pytest.raises(ConfigurationError, match="finite"):
+        smooth(g, np.inf)
+    with pytest.raises(ConfigurationError, match="finite"):
+        convert_sigma(g, np.nan)
+    with pytest.raises(DomainError, match=">= 0"):
+        smooth(g, -0.1)
+    with pytest.raises(AccuracyError):
+        smooth(g, _MAX_VAR * 1.01)
+
+
 def test_smooth_identity_kernel_returns_input_silently():
     # at var = 1e-310 every off-diagonal tap underflows and std**2 is subnormal
     g = fock_wigner(1, resolution=64)

@@ -142,3 +142,38 @@ def test_boundary_case_detection():
     assert not channel_is_separable_via_appendix(ch)  # strict
     off = evolve_channel(ChannelParams(s_qc=0.3, n_bar=1.0, T=0.5))
     assert not is_boundary_case(off)
+
+
+def _simon_nu_minus(ch):
+    """Smallest symplectic eigenvalue of the partially transposed covariance
+    matrix (R. Simon, PRL 84, 2726, 2000), built from gamma and lam.
+
+    In quadratures (q_b, p_b, q_c, p_c) with vacuum variance 1 the channel's
+    covariance is [[gamma I, lam Z], [lam Z, gamma I]], Z = diag(1, -1).  The
+    partial transpose flips p_c; the symplectic eigenvalues of a covariance
+    V are the moduli of the eigenvalues of the Hermitian i V^1/2 Omega V^1/2.
+    """
+    z = np.diag([1.0, -1.0])
+    v = np.block([[ch.gamma * np.eye(2), ch.lam * z], [ch.lam * z, ch.gamma * np.eye(2)]])
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    w, u = np.linalg.eigh(flip @ v @ flip)
+    root = (u * np.sqrt(w)) @ u.T
+    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return float(np.abs(np.linalg.eigvalsh(1j * root @ omega @ root)).min())
+
+
+def test_simon_ppt_criterion_is_a_third_route():
+    # criterion 7's lattice, off the boundary n_tau = 1
+    checked = 0
+    for s_qc in np.linspace(0.0, 2.0, 5):
+        for n_bar in np.linspace(0.0, 2.0, 5):
+            for T in np.linspace(0.1, 0.9, 5):
+                p = ChannelParams(s_qc=float(s_qc), n_bar=float(n_bar), T=float(T))
+                if abs(noise_factor(p).value - 1.0) < 1e-9:
+                    continue
+                ch = evolve_channel(p)
+                nu = _simon_nu_minus(ch)
+                assert_allclose(nu, ch.n_minus, rtol=1e-12, atol=0)
+                assert (nu >= 1.0) == is_separable(p) == channel_is_separable_via_appendix(ch)
+                checked += 1
+    assert checked == 120

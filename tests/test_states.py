@@ -40,30 +40,42 @@ def test_two_mode_squeezed_vacuum_purity_identity():
         assert_allclose(st.gamma - st.lam, np.exp(-2.0 * s_qc), rtol=0, atol=1e-12)
 
 
+def test_two_mode_squeezed_vacuum_accepts_strong_squeezing():
+    # gamma and lam are both near e^{2 s} / 2 here, so gamma^2 - lam^2 would
+    # cancel below 1 - 1e-9 (at 197 of these 1001 values, the first s = 4.225)
+    for s_qc in np.arange(4000, 5001) / 1000.0:
+        st = two_mode_squeezed_vacuum(float(s_qc))
+        assert st.n_minus == np.exp(-2.0 * s_qc)
+
+
 def test_two_mode_squeezed_vacuum_rejects_negative():
     with pytest.raises(DomainError):
         two_mode_squeezed_vacuum(-0.1)
 
 
 def test_gaussian_two_mode_invariants():
+    pure = GaussianTwoMode(n_minus=0.5, n_plus=2.0)  # n_minus * n_plus is exactly 1
+    assert (pure.gamma, pure.lam) == (1.25, 0.75)
     with pytest.raises(ConfigurationError):
-        GaussianTwoMode(gamma=0.8, lam=0.0)
+        GaussianTwoMode(n_minus=0.5, n_plus=1.99)  # n_minus * n_plus < 1
     with pytest.raises(ConfigurationError):
-        GaussianTwoMode(gamma=2.0, lam=2.5)
+        GaussianTwoMode(n_minus=0.0, n_plus=3.0)
     with pytest.raises(ConfigurationError):
-        GaussianTwoMode(gamma=1.2, lam=1.1)  # gamma^2 - lam^2 < 1
+        GaussianTwoMode(n_minus=-1.0, n_plus=-2.0)  # product 2, but variances are positive
 
 
 @pytest.mark.parametrize(
-    "gamma, lam", [(float("nan"), 0.0), (float("inf"), 0.0), (2.0, float("nan"))]
+    "n_minus, n_plus",
+    [(float("nan"), 2.0), (float("inf"), 2.0), (2.0, float("nan")), (2.0, float("inf"))],
 )
-def test_gaussian_two_mode_rejects_non_finite(gamma, lam):
+def test_gaussian_two_mode_rejects_non_finite(n_minus, n_plus):
     with pytest.raises(ConfigurationError):
-        GaussianTwoMode(gamma=gamma, lam=lam)
+        GaussianTwoMode(n_minus=n_minus, n_plus=n_plus)
 
 
 def test_gaussian_two_mode_norm_and_values():
-    st = GaussianTwoMode(gamma=2.0, lam=1.0)
+    st = GaussianTwoMode(n_minus=1.0, n_plus=3.0)  # gamma = 2, lam = 1
+    assert (st.gamma, st.lam) == (2.0, 1.0)
     assert_allclose(st.norm, 4.0 / (np.pi**2 * 3.0), rtol=1e-14)
 
 

@@ -258,6 +258,15 @@ def test_protocol_oracle_rejects_non_wigner():
         protocol_oracle(g, ch, order=True)
 
 
+def test_protocol_oracle_through_strong_squeezing():
+    # n_tau = e^{-2 s} ~ 2.1e-4: the closed form, since teleport_state's kernel
+    # is narrower than this grid's step
+    ch = two_mode_squeezed_vacuum(4.225)
+    got = protocol_oracle(fock_wigner(1, 8.0, 64), ch)
+    want = teleported_fock_wigner(1, noise_factor(ChannelParams(4.225, 0.0, 0.0)), 8.0, 64)
+    assert np.abs(got.values - want.values).max() <= 1e-8
+
+
 def test_measurement_density_vacuum_bare_channel():
     # vacuum in, uncorrelated vacuum channel: both quadratures are N(0, 1/4)
     ch = two_mode_squeezed_vacuum(0.0)
