@@ -138,27 +138,28 @@ class WignerGrid:
         ``RectBivariateSpline(..., grid=False)`` obeys numpy broadcasting.
         The spline clamps points outside the box to its edge.
 
-        :meth:`factors` gives the same values in separable form, which the
-        protocol quadratures use in place of sampling point by point: for
-        every grid without a profile, and for the constructors' profiles
-        except number states above m = 10 (``states.MAX_FACTORED_FOCK``)."""
+        :meth:`factors` gives a separable form, which the protocol
+        quadratures use in place of sampling point by point.  It has the same
+        values for every grid without a profile and for every constructor's
+        profile; a profile without factors gets the spline's form."""
         if self.profile is not None:
             return self.profile(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return self._interpolator()(x, y, grid=False)
 
     def factors(self):
-        """Separable form ``(fx, core, fy)`` of :meth:`sample`, or None.
+        """Separable form ``(fx, core, fy)`` of the distribution.
 
         ``fx(t)`` and ``fy(t)`` stack basis functions on a new last axis, and
-        ``sample(x, y) = fx(x) @ core @ fy(y)`` point by point.  With a profile
-        this is ``profile.factors`` (Gaussians times even powers; None for a
-        profile without them, such as a number state above
-        ``states.MAX_FACTORED_FOCK``).  Without one it is the cached quintic
-        spline: B-spline design matrices on its knots, with points clipped to
-        the box as the spline clamps them, and its coefficient matrix.
+        ``fx(x) @ core @ fy(y)`` is the value at (x, y) point by point.  It
+        is ``profile.factors`` when the profile carries them (every
+        constructor's does), equal to :meth:`sample`.  Otherwise it is the
+        cached quintic spline of the grid values: B-spline design matrices on
+        its knots, with points clipped to the box as the spline clamps them,
+        and its coefficient matrix.
         """
-        if self.profile is not None:
-            return getattr(self.profile, "factors", None)
+        exact = getattr(self.profile, "factors", None)
+        if exact is not None:
+            return exact
         from scipy.interpolate import BSpline
 
         spline = self._interpolator()

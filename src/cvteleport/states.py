@@ -6,15 +6,14 @@ interpolation loss.  Number states and squeezed vacua each have one closed
 form valid for every noise factor n_tau >= 0; the input state is its
 n_tau = 0 case.
 
-Each profile but that of a number state above ``MAX_FACTORED_FOCK`` also
-carries ``profile.factors = (fx, core, fy)``, a separable form
-``profile(x, y) = fx(x) @ core @ fy(y)`` over Gaussians times even powers,
-which lets the protocol quadratures sum each axis on its own.
+Every profile also carries ``profile.factors = (fx, core, fy)``, a
+separable form ``profile(x, y) = fx(x) @ core @ fy(y)``: one Gaussian per
+axis for squeezed and coherent states, and Gaussians times Laguerre
+polynomials of order -1/2 for number states, which lets the protocol
+quadratures sum each axis on its own.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,21 +22,13 @@ from .errors import ConfigurationError
 from .phase_space import DEFAULT_EXTENT, DEFAULT_RESOLUTION, WignerGrid
 
 MAX_FOCK = 50
-# above this the monomial sum of the factored form cancels, with error ~ 3^m eps
-MAX_FACTORED_FOCK = 10
 
 
-def _gaussian_powers(c, degree, centre=0.0):
-    """The basis t -> exp(c d^2) d^(2i), d = t - centre, for i = 0..degree,
-    stacked on a new last axis."""
+def _gaussian(c, centre=0.0):
+    """The one-column basis t -> exp(c (t - centre)^2), on a new last axis."""
 
     def basis(t):
-        d2 = (np.asarray(t, dtype=float) - centre) ** 2
-        out = np.empty(d2.shape + (degree + 1,))
-        out[..., 0] = np.exp(c * d2)
-        for i in range(degree):  # products, not np.power, which is several times slower
-            out[..., i + 1] = out[..., i] * d2
-        return out
+        return np.exp(c * (np.asarray(t, dtype=float) - centre) ** 2)[..., None]
 
     return basis
 
@@ -60,6 +51,19 @@ def teleported_fock_wigner(
     which never divides by u, so n_tau = 1/2 needs no special case.  q_m is
     homogeneous of degree m, so it runs on (u/v, z/v) and no power of v is
     formed.  At n_tau = 0 this is (2/pi) (-1)^m exp(-2|a|^2) L_m(4|a|^2).
+
+    The factors split q_m over the two axes by the addition theorem
+    L_m(x + y) = sum_i L_i^(-1/2)(x) L_{m-i}^(-1/2)(y):
+
+        q_m(u, z) = sum_i h_i(u, -4 a_r^2 / v) h_{m-i}(u, -4 a_i^2 / v),
+
+    with h_i(u, z) = u^i L_i^(-1/2)(z/u) from the same homogeneous recurrence
+    at alpha = -1/2,
+
+        (k+1) h_{k+1} = ((2k+1/2) u - z) h_k - (k-1/2) u^2 h_{k-1},  h_0 = 1, h_1 = u/2 - z,
+
+    so the core is antidiagonal.  At n_tau = 0 the h_i are even Hermite
+    polynomials.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or not 0 <= m <= MAX_FOCK:
         raise ConfigurationError(f"number-state index must be an integer in [0, {MAX_FOCK}]")
@@ -83,20 +87,19 @@ def teleported_fock_wigner(
             q_prev, q = q, (((2 * k + 1) * u - z) * q - k * u2 * q_prev) / (k + 1)
         return pref * np.exp(c_exp * r2) * q
 
-    if m <= MAX_FACTORED_FOCK:
-        # the recurrence on the coefficients of q_m in z, then z^n expanded
-        # as c_z^n sum_i binom(n, i) x^(2i) y^(2(n-i))
-        coef_prev, coef = np.zeros(m + 1), np.zeros(m + 1)
-        coef[0] = 1.0
-        for k in range(m):
-            z_coef = np.roll(coef, 1)  # z q_k, one degree up; q_k has degree k < m
-            coef_prev, coef = coef, ((2 * k + 1) * u * coef - z_coef - k * u2 * coef_prev) / (k + 1)
-        core = np.zeros((m + 1, m + 1))
-        for i in range(m + 1):
-            for j in range(m + 1 - i):
-                core[i, j] = pref * coef[i + j] * c_z ** (i + j) * math.comb(i + j, i)
-        basis = _gaussian_powers(c_exp, m)
-        profile.factors = (basis, core, basis)
+    def basis(t):
+        # exp(c_exp t^2) h_i(u, c_z t^2) for i = 0..m, built on a leading axis
+        d2 = np.asarray(t, dtype=float) ** 2
+        z = c_z * d2
+        out = np.empty((m + 1,) + d2.shape)
+        out[0] = np.exp(c_exp * d2)
+        if m:
+            out[1] = (0.5 * u - z) * out[0]
+        for k in range(1, m):
+            out[k + 1] = (((2 * k + 0.5) * u - z) * out[k] - (k - 0.5) * u2 * out[k - 1]) / (k + 1)
+        return np.moveaxis(out, 0, -1)
+
+    profile.factors = (basis, pref * np.eye(m + 1)[::-1], basis)
 
     return WignerGrid.from_profile(
         profile, (0.0, 0.0, -c_exp, -c_exp), extent, resolution, pure=(n == 0.0)
@@ -137,7 +140,7 @@ def teleported_squeezed_wigner(
     def profile(x, y):
         return pref * np.exp(-kx * x**2 - ky * y**2)
 
-    profile.factors = (_gaussian_powers(-kx, 0), np.array([[pref]]), _gaussian_powers(-ky, 0))
+    profile.factors = (_gaussian(-kx), np.array([[pref]]), _gaussian(-ky))
 
     return WignerGrid.from_profile(
         profile, (0.0, 0.0, kx, ky), extent, resolution, pure=(n == 0.0)
@@ -178,9 +181,7 @@ def coherent_wigner(
         return (2.0 / np.pi) * np.exp(-2.0 * ((x - mu.real) ** 2 + (y - mu.imag) ** 2))
 
     profile.factors = (
-        _gaussian_powers(-2.0, 0, mu.real),
-        np.array([[2.0 / np.pi]]),
-        _gaussian_powers(-2.0, 0, mu.imag),
+        _gaussian(-2.0, mu.real), np.array([[2.0 / np.pi]]), _gaussian(-2.0, mu.imag)
     )
 
     return WignerGrid.from_profile(profile, (mu.real, mu.imag, 2.0, 2.0), extent, resolution)

@@ -12,8 +12,7 @@ mixing of the input with one channel mode, quadrature readout, conditional
 displacement of the other mode) by four-dimensional Gauss-Hermite
 quadrature and serves as an independent cross-check of the convolution
 route.  It and ``measurement_density`` sum the input over its x and y
-nodes separately wherever the input has a separable form
-(``WignerGrid.factors``).
+nodes separately, through its separable form (``WignerGrid.factors``).
 """
 
 from __future__ import annotations
@@ -87,10 +86,8 @@ def protocol_oracle(
     j only on a_i, so with the separable form W_o = fx @ core @ fy of
     :meth:`WignerGrid.factors` the sum is one matrix product
     ``(weighted fx node sums) @ core @ (weighted fy node sums).T``.  That
-    form exists for the exact profiles of coherent states, squeezed vacua
-    and number states up to ``states.MAX_FACTORED_FOCK``, and for every
-    grid without a profile (its quintic spline); any other profile is
-    sampled at all res^2 q^2 points, in chunks.
+    form is exact for the profiles of every state constructor, and the
+    quintic spline of the grid values otherwise.
     """
     as_grid(w_o, "protocol_oracle", wigner=True)
     resolution = w_o.resolution if resolution is None else resolution
@@ -106,20 +103,8 @@ def protocol_oracle(
     xo, wx = _centred_nodes(rule, k_ker, ax_out, kx, cx)  # (res, q)
     yo, wy = _centred_nodes(rule, k_ker, ax_out, ky, cy)
 
-    pref = ch.norm * sum_s**2
-    factors = w_o.factors()
-    if factors is not None:
-        fx, core, fy = factors
-        out = pref * (_node_sums(fx, xo, wx) @ core @ _node_sums(fy, yo, wy).T)
-    else:
-        out = np.empty((resolution, resolution))
-        chunk = max(1, int(4e6 // (order * order * resolution)))
-        for lo in range(0, resolution, chunk):
-            hi = min(lo + chunk, resolution)
-            wo_vals = w_o.sample(
-                xo[lo:hi][:, :, None, None], yo[None, None, :, :]
-            )  # (chunk, q, res, q)
-            out[lo:hi] = pref * np.einsum("rkil,rk,il->ri", wo_vals, wx[lo:hi], wy)
+    fx, core, fy = w_o.factors()
+    out = ch.norm * sum_s**2 * (_node_sums(fx, xo, wx) @ core @ _node_sums(fy, yo, wy).T)
     return WignerGrid(sigma=0.0, extent=w_o.extent, values=out)
 
 
@@ -134,10 +119,9 @@ def measurement_density(
 
     Accepts scalars or broadcastable arrays and returns matching shape.
     At each readout point the input's x nodes and y nodes are separate
-    axes, so with the separable form of :meth:`WignerGrid.factors` (the
-    same cases as in :func:`protocol_oracle`) the density is the row-wise
-    ``einsum("pc,cd,pd->p", Md, core, Me)`` of the weighted node sums;
-    otherwise the profile is sampled at all q^2 nodes of each point.
+    axes, so with the separable form of :meth:`WignerGrid.factors` (as in
+    :func:`protocol_oracle`) the density is the row-wise
+    ``einsum("pc,cd,pd->p", Md, core, Me)`` of the weighted node sums.
     """
     as_grid(w_o, "measurement_density", wigner=True)
     di, er = np.broadcast_arrays(
@@ -155,12 +139,7 @@ def measurement_density(
     en, we = _centred_nodes(rule, c_ch, -di, 0.5 * ky, di - np.sqrt(2.0) * cy)
     x_o = (dn - er[:, None]) / np.sqrt(2.0)  # (np, q)
     y_o = (di[:, None] - en) / np.sqrt(2.0)
-    factors = w_o.factors()
-    if factors is not None:
-        fx, core, fy = factors
-        sums = np.einsum("pc,cd,pd->p", _node_sums(fx, x_o, wd), core, _node_sums(fy, y_o, we))
-    else:
-        wo_vals = w_o.sample(x_o[:, :, None], y_o[:, None, :])
-        sums = np.einsum("pkl,pk,pl->p", wo_vals, wd, we)
+    fx, core, fy = w_o.factors()
+    sums = np.einsum("pc,cd,pd->p", _node_sums(fx, x_o, wd), core, _node_sums(fy, y_o, we))
     out = (ch.norm * sum_c**2 * sums).reshape(shape)
     return out if out.ndim else float(out)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from cvteleport import (
     ConfigurationError,
-    DomainError,
     GaussianTwoMode,
     coherent_wigner,
     fock_wigner,
@@ -49,7 +48,7 @@ def test_two_mode_squeezed_vacuum_accepts_strong_squeezing():
 
 
 def test_two_mode_squeezed_vacuum_rejects_negative():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError, match="s_qc"):
         two_mode_squeezed_vacuum(-0.1)
 
 

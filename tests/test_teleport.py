@@ -28,7 +28,8 @@ from cvteleport import (
     vacuum_wigner,
     verify,
 )
-from cvteleport.states import MAX_FACTORED_FOCK
+from cvteleport.numerics import gauss_hermite, integrate_2d
+from cvteleport.teleport import ORACLE_ORDER, _centred_nodes
 from cvteleport.verify import ORACLE_CHANNELS, criterion_4
 
 _FACTORED_INPUTS = (
@@ -40,9 +41,30 @@ _FACTORED_INPUTS = (
 )
 
 
-def _pointwise(g):
-    # the same profile without its factors, so the quadratures sample it point by point
-    return replace(g, profile=lambda x, y: g.profile(x, y))
+def _pointwise_oracle(g, ch):
+    # protocol_oracle with the input sampled at all res^2 q^2 node pairs
+    rule = gauss_hermite(ORACLE_ORDER)
+    cx, cy, kx, ky = g.envelope
+    xo, wx = _centred_nodes(rule, 1.0 / ch.n_minus, g.axes(), kx, cx)
+    yo, wy = _centred_nodes(rule, 1.0 / ch.n_minus, g.axes(), ky, cy)
+    vals = g.sample(xo[:, :, None, None], yo[None, None, :, :])
+    sum_s = rule.weights.sum() * np.sqrt(ch.n_plus) / 2.0
+    return ch.norm * sum_s**2 * np.einsum("rkil,rk,il->ri", vals, wx, wy)
+
+
+def _pointwise_density(g, ch, di, er):
+    # measurement_density with the input sampled at all q^2 nodes of each point
+    rule = gauss_hermite(ORACLE_ORDER)
+    di, er = np.broadcast_arrays(np.asarray(di, dtype=float), np.asarray(er, dtype=float))
+    shape, di, er = di.shape, di.ravel(), er.ravel()
+    sum_c = rule.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)
+    c_ch = 2.0 / (ch.n_minus + ch.n_plus)
+    cx, cy, kx, ky = g.envelope
+    dn, wd = _centred_nodes(rule, c_ch, -er, 0.5 * kx, er + np.sqrt(2.0) * cx)
+    en, we = _centred_nodes(rule, c_ch, -di, 0.5 * ky, di - np.sqrt(2.0) * cy)
+    vals = g.sample(((dn - er[:, None]) / np.sqrt(2.0))[:, :, None],
+                    ((di[:, None] - en) / np.sqrt(2.0))[:, None, :])
+    return (ch.norm * sum_c**2 * np.einsum("pkl,pk,pl->p", vals, wd, we)).reshape(shape)
 
 
 def test_teleport_state_zero_noise_is_identity():
@@ -185,12 +207,16 @@ def test_protocol_oracle_spline_fallback():
     got = protocol_oracle(bare, ch)
     want = protocol_oracle(g, ch)
     assert_allclose(got.values, want.values, rtol=0, atol=1e-6)
+    # a profile without factors sums the spline's factors too
+    plain = replace(g, profile=lambda x, y: g.profile(x, y))
+    assert plain.factors() is not None
+    assert_allclose(protocol_oracle(plain, ch).values, want.values, rtol=0, atol=1e-6)
 
 
 def test_profile_factors_reproduce_profiles():
     rng = np.random.default_rng(11)
     x, y = rng.uniform(-7.0, 7.0, (2, 500))
-    grids = [teleported_fock_wigner(m, n, 8.0, 16) for m in range(MAX_FACTORED_FOCK + 1)
+    grids = [teleported_fock_wigner(m, n, 8.0, 16) for m in (*range(11), 20, 35, 50)
              for n in (0.0, 0.3, 0.5, 2.0)]
     grids += [teleported_squeezed_wigner(s_o, n, 8.0, 16) for s_o in (-0.7, 0.0, 1.0)
               for n in (0.0, 0.4)]
@@ -206,22 +232,29 @@ def test_factored_quadratures_match_pointwise():
     for params in ORACLE_CHANNELS[:2] + ORACLE_CHANNELS[-1:]:
         ch = evolve_channel(ChannelParams(*params))
         for g in _FACTORED_INPUTS:
-            exact = _pointwise(g)
-            assert exact.factors() is None
             got = protocol_oracle(g, ch).values
-            assert np.abs(got - protocol_oracle(exact, ch).values).max() <= 1e-13
+            assert np.abs(got - _pointwise_oracle(g, ch)).max() <= 1e-13
             dens = measurement_density(g, ch, ax[:, None], ax[None, :])
-            want = measurement_density(exact, ch, ax[:, None], ax[None, :])
+            want = _pointwise_density(g, ch, ax[:, None], ax[None, :])
             assert np.abs(dens - want).max() <= 1e-13
 
 
-def test_protocol_oracle_pointwise_above_factored_cap():
+def test_protocol_oracle_factored_above_ten():
     p = ChannelParams(s_qc=1.0, n_bar=0.5, T=0.5)
-    g = fock_wigner(MAX_FACTORED_FOCK + 1, 8.0, 32)
-    assert g.factors() is None
-    got = protocol_oracle(g, evolve_channel(p))
-    want = teleported_fock_wigner(MAX_FACTORED_FOCK + 1, noise_factor(p), 8.0, 32)
-    assert np.abs(got.values - want.values).max() <= 1e-12
+    ch = evolve_channel(p)
+    for m in (11, 20, 35):
+        g = fock_wigner(m, 8.0, 32)
+        assert g.factors() is not None
+        got = protocol_oracle(g, ch)
+        want = teleported_fock_wigner(m, noise_factor(p), 8.0, 32)
+        assert np.abs(got.values - want.values).max() <= 1e-12, m
+    # the density sheet of a number state above ten keeps its mass, as in criterion 9
+    ax = np.linspace(-6.0, 6.0, 101)
+    w = fock_wigner(20)
+    ch = evolve_channel(ChannelParams(0.5, 0.5, 0.3))
+    rows = np.array([measurement_density(w, ch, di, ax) for di in ax])
+    assert rows.min() >= -1e-9
+    assert abs(integrate_2d(rows, ax) - 1.0) <= 1e-5
 
 
 def test_teleport_state_wide_kernel_meets_closed_form():
