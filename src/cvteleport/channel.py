@@ -130,19 +130,19 @@ def integrate_moment_flow(p: ChannelParams):
     with tau = gamma*t, by classic fourth-order Runge-Kutta at step 1e-3.
     Serves as an independent route to :func:`evolve_channel`.
     """
-    if p.T >= 1.0:
-        # infinite-time fixed point
-        return 1.0 + 2.0 * p.n_bar, 0.0
-    tau_end = p.gamma_t
-    n = max(1, int(np.ceil(tau_end / 1e-3))) if tau_end > 0 else 0
-    h = tau_end / n if n else 0.0
     a = 1.0 + 2.0 * p.n_bar
 
     def f(v):
         return np.array([a - v[0], -v[1]])
 
     try:
+        # the start comes first, so that T = 1 rejects an overflowing s_qc too
         y = np.array([math.cosh(2.0 * p.s_qc), math.sinh(2.0 * p.s_qc)])
+        if p.T >= 1.0:
+            return a, 0.0  # infinite-time fixed point
+        tau_end = p.gamma_t
+        n = max(1, int(np.ceil(tau_end / 1e-3))) if tau_end > 0 else 0
+        h = tau_end / n if n else 0.0
         with np.errstate(over="raise"):  # a start near the float limit overflows in the steps
             for _ in range(n):
                 k1 = f(y)

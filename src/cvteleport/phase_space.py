@@ -59,10 +59,11 @@ class WignerGrid:
     values : ndarray
         Square array; ``values[i, j]`` is the distribution at
         ``alpha = axes()[i] + 1j*axes()[j]``.
-    profile : callable or None
-        Optional exact evaluator ``profile(x, y) -> values`` for the same
-        representation; set by the analytic constructors.  It may carry
-        ``profile.factors``, the separable form :meth:`factors` returns.
+    profile : tuple or None
+        The exact separable form ``(fx, core, fy)`` of the distribution, set
+        by the analytic constructors: ``fx(x) @ core @ fy(y)`` is its value
+        at (x, y).  None for any other grid, whose :meth:`factors` are
+        those of its quintic spline.
     envelope : tuple or None
         Gaussian envelope hint ``(cx, cy, kx, ky)`` meaning the values decay
         at least like exp(-kx (x-cx)^2 - ky (y-cy)^2); used to place
@@ -92,14 +93,15 @@ class WignerGrid:
 
     @classmethod
     def from_profile(cls, profile, envelope, extent, resolution, pure=True) -> WignerGrid:
-        """Wigner grid (sigma = 0) sampled from ``profile``, which stays attached."""
+        """Wigner grid (sigma = 0) of the separable form ``profile = (fx, core,
+        fy)``, which stays attached: the values are ``fx(ax) @ core @ fy(ax).T``."""
         check_geometry(extent, resolution)
+        fx, core, fy = profile
         ax = np.linspace(-extent, extent, resolution)
-        x, y = np.meshgrid(ax, ax, indexing="ij")
         return cls(
             sigma=0.0,
             extent=float(extent),
-            values=profile(x, y),
+            values=fx(ax) @ core @ fy(ax).T,
             profile=profile,
             envelope=envelope,
             pure_origin=pure,
@@ -132,34 +134,26 @@ class WignerGrid:
         return cached
 
     def sample(self, x, y):
-        """Evaluate the distribution at arbitrary points, exactly when a
-        profile is attached, by quintic spline interpolation otherwise.  Both
-        routes broadcast ``x`` against ``y``: profiles are numpy expressions, and
-        ``RectBivariateSpline(..., grid=False)`` obeys numpy broadcasting.
-        The spline clamps points outside the box to its edge.
-
-        :meth:`factors` gives a separable form, which the protocol
-        quadratures use in place of sampling point by point.  It has the same
-        values for every grid without a profile and for every constructor's
-        profile; a profile without factors gets the spline's form."""
-        if self.profile is not None:
-            return self.profile(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return self._interpolator()(x, y, grid=False)
+        """Evaluate the distribution at arbitrary points, as the one
+        contraction ``fx(x) @ core @ fy(y)`` of :meth:`factors`: exact for a
+        constructor's grid, the quintic spline of the values otherwise.
+        ``fx`` runs on ``x`` and ``fy`` on ``y`` in their own shapes, and the
+        two broadcast against each other."""
+        fx, core, fy = self.factors()
+        return np.einsum("...d,...d->...", fx(x) @ core, fy(y))
 
     def factors(self):
         """Separable form ``(fx, core, fy)`` of the distribution.
 
         ``fx(t)`` and ``fy(t)`` stack basis functions on a new last axis, and
         ``fx(x) @ core @ fy(y)`` is the value at (x, y) point by point.  It
-        is ``profile.factors`` when the profile carries them (every
-        constructor's does), equal to :meth:`sample`.  Otherwise it is the
+        is the exact ``profile`` when one is attached.  Otherwise it is the
         cached quintic spline of the grid values: B-spline design matrices on
         its knots, with points clipped to the box as the spline clamps them,
         and its coefficient matrix.
         """
-        exact = getattr(self.profile, "factors", None)
-        if exact is not None:
-            return exact
+        if self.profile is not None:
+            return self.profile
         from scipy.interpolate import BSpline
 
         spline = self._interpolator()
@@ -199,9 +193,9 @@ def band_limit(g: WignerGrid) -> float:
     return np.pi * g.resolution / (2.0 * g.extent)
 
 
-def _blur_matrix(ax: np.ndarray, std: float, scale: float) -> np.ndarray:
+def _blur_matrix(ax: np.ndarray, std: float, scale: float, out: np.ndarray) -> np.ndarray:
     """``scale`` times the 1D Gaussian convolution matrix on the uniform nodes
-    ax, clamped at the edges.
+    ax, clamped at the edges, written into and returned as ``out``.
 
     The tap at offset d is exp(-(d dx)^2 / 2 std^2) normalized by its sum
     over the whole lattice, d in Z, so the taps of a row that fall beyond
@@ -224,12 +218,12 @@ def _blur_matrix(ax: np.ndarray, std: float, scale: float) -> np.ndarray:
     row = taps[:n] / norm * scale
     # window n - 1 - i of [row[n-1], ..., row[1], row[0], row[1], ..., row[n-1]]
     # is row i of the Toeplitz matrix row[|i - j|]
-    k = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1].copy()
+    out[...] = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1]
     # row i of the first column holds tap i plus the taps beyond the edge,
     # taps[i] + tails[i + 1], which the running sum has already added as tails[i]
-    k[:, 0] = tails[:n] / norm * scale
-    k[:, -1] = k[::-1, 0]
-    return k
+    out[:, 0] = tails[:n] / norm * scale
+    out[:, -1] = out[::-1, 0]
+    return out
 
 
 # the kernel carries 2^300 and the grid is scaled so that |values| < 2^420: the
@@ -272,16 +266,19 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
     if tap == 0.0:
         values = g.values.copy()
     else:
-        k = _blur_matrix(ax, std, np.ldexp(1.0, _KERNEL_EXP))
+        # the kernel, the scaled grid and the half product share one
+        # allocation: glibc's malloc keeps a block that size between calls,
+        # while three arrays on a heap with no older free space below them
+        # went back to the system after each call and were faulted in again
+        # (about 350 page faults per 256^2 call)
+        k, scaled, half = np.empty((3,) + g.values.shape)
+        _blur_matrix(ax, std, np.ldexp(1.0, _KERNEL_EXP), k)
         top = int(np.frexp(np.abs(g.values).max())[1])
-        # np.ldexp, since the exponents can pass the range of 2.0**e; the
-        # scaled grid is a temporary, so at most two res x res arrays besides
-        # the kernel and the input are alive at once, as without scaling.
-        # Scaling back into a new array, not in place, leaves the heap as the
-        # unscaled products did: in place, a later 256^2 load_grid peaked
-        # 1.3 MB higher.
-        values = k @ np.ldexp(g.values, _GRID_EXP - top) @ k.T
-        values = np.ldexp(values, top - _GRID_EXP - 2 * _KERNEL_EXP)
+        # np.ldexp, since the exponents can pass the range of 2.0**e
+        np.ldexp(g.values, _GRID_EXP - top, out=scaled)
+        np.matmul(k, scaled, out=half)
+        np.matmul(half, k.T, out=scaled)
+        values = np.ldexp(scaled, top - _GRID_EXP - 2 * _KERNEL_EXP)
     envelope = g.envelope
     if envelope is not None:
         cx, cy, kx, ky = envelope

@@ -1,16 +1,13 @@
 """Wigner functions of the input states and of their teleported forms.
 
-All constructors return normalized Wigner grids (sigma = 0) with an exact
-``profile`` attached, so downstream quadratures can resample them without
-interpolation loss.  Number states and squeezed vacua each have one closed
+All constructors return normalized Wigner grids (sigma = 0) that keep their
+exact form as ``profile = (fx, core, fy)``, a separable form
+``W(x, y) = fx(x) @ core @ fy(y)``: one Gaussian per axis for squeezed and
+coherent states, and Gaussians times Laguerre polynomials of order -1/2
+for number states.  The grid is built, sampled and integrated from these
+factors alone.  Number states and squeezed vacua each have one closed
 form valid for every noise factor n_tau >= 0; the input state is its
 n_tau = 0 case.
-
-Every profile also carries ``profile.factors = (fx, core, fy)``, a
-separable form ``profile(x, y) = fx(x) @ core @ fy(y)``: one Gaussian per
-axis for squeezed and coherent states, and Gaussians times Laguerre
-polynomials of order -1/2 for number states, which lets the protocol
-quadratures sum each axis on its own.
 """
 
 from __future__ import annotations
@@ -44,26 +41,22 @@ def teleported_fock_wigner(
         W_r(a) = (2/pi) exp(-2|a|^2/v) q_m(u, z) / v^{m+1},
         u = 2n - 1,  v = 2n + 1,  z = -4|a|^2 / v,
 
-    where q_m(u, z) = u^m L_m(z/u) follows the homogeneous recurrence
-
-        (k+1) q_{k+1} = ((2k+1) u - z) q_k - k u^2 q_{k-1},  q_0 = 1, q_1 = u - z,
-
-    which never divides by u, so n_tau = 1/2 needs no special case.  q_m is
-    homogeneous of degree m, so it runs on (u/v, z/v) and no power of v is
-    formed.  At n_tau = 0 this is (2/pi) (-1)^m exp(-2|a|^2) L_m(4|a|^2).
+    with q_m(u, z) = u^m L_m(z/u).  At n_tau = 0 this is
+    (2/pi) (-1)^m exp(-2|a|^2) L_m(4|a|^2).
 
     The factors split q_m over the two axes by the addition theorem
     L_m(x + y) = sum_i L_i^(-1/2)(x) L_{m-i}^(-1/2)(y):
 
         q_m(u, z) = sum_i h_i(u, -4 a_r^2 / v) h_{m-i}(u, -4 a_i^2 / v),
 
-    with h_i(u, z) = u^i L_i^(-1/2)(z/u) from the same homogeneous recurrence
-    at alpha = -1/2,
+    with h_i(u, z) = u^i L_i^(-1/2)(z/u), so the core is antidiagonal.  The
+    h_i follow the homogeneous recurrence
 
         (k+1) h_{k+1} = ((2k+1/2) u - z) h_k - (k-1/2) u^2 h_{k-1},  h_0 = 1, h_1 = u/2 - z,
 
-    so the core is antidiagonal.  At n_tau = 0 the h_i are even Hermite
-    polynomials.
+    which never divides by u, so n_tau = 1/2 needs no special case.  h_i is
+    homogeneous of degree i, so it runs on (u/v, z/v) and no power of v is
+    formed.  At n_tau = 0 the h_i are even Hermite polynomials.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or not 0 <= m <= MAX_FOCK:
         raise ConfigurationError(f"number-state index must be an integer in [0, {MAX_FOCK}]")
@@ -75,17 +68,6 @@ def teleported_fock_wigner(
     pref = (2.0 / np.pi) / v
     c_exp = -2.0 / v
     c_z = -4.0 / (v * v)
-
-    def profile(x, y):
-        r2 = x**2 + y**2
-        # m = 0 stays a branch: a (q_{-1}, q_0) = (0, 1) start costs three more array passes
-        if m == 0:
-            return pref * np.exp(c_exp * r2)
-        z = c_z * r2
-        q_prev, q = 1.0, u - z
-        for k in range(1, m):
-            q_prev, q = q, (((2 * k + 1) * u - z) * q - k * u2 * q_prev) / (k + 1)
-        return pref * np.exp(c_exp * r2) * q
 
     def basis(t):
         # exp(c_exp t^2) h_i(u, c_z t^2) for i = 0..m, built on a leading axis
@@ -99,11 +81,9 @@ def teleported_fock_wigner(
             out[k + 1] = (((2 * k + 0.5) * u - z) * out[k] - (k - 0.5) * u2 * out[k - 1]) / (k + 1)
         return np.moveaxis(out, 0, -1)
 
-    profile.factors = (basis, pref * np.eye(m + 1)[::-1], basis)
-
-    return WignerGrid.from_profile(
-        profile, (0.0, 0.0, -c_exp, -c_exp), extent, resolution, pure=(n == 0.0)
-    )
+    factors = (basis, pref * np.eye(m + 1)[::-1], basis)
+    envelope = (0.0, 0.0, -c_exp, -c_exp)
+    return WignerGrid.from_profile(factors, envelope, extent, resolution, pure=(n == 0.0))
 
 
 def teleported_squeezed_wigner(
@@ -137,14 +117,8 @@ def teleported_squeezed_wigner(
     ky = 2.0 * e_minus / b_minus
     pref = (2.0 / np.pi) / np.sqrt(b_plus * b_minus)
 
-    def profile(x, y):
-        return pref * np.exp(-kx * x**2 - ky * y**2)
-
-    profile.factors = (_gaussian(-kx), np.array([[pref]]), _gaussian(-ky))
-
-    return WignerGrid.from_profile(
-        profile, (0.0, 0.0, kx, ky), extent, resolution, pure=(n == 0.0)
-    )
+    factors = (_gaussian(-kx), np.array([[pref]]), _gaussian(-ky))
+    return WignerGrid.from_profile(factors, (0.0, 0.0, kx, ky), extent, resolution, pure=(n == 0.0))
 
 
 def fock_wigner(
@@ -176,15 +150,8 @@ def coherent_wigner(
         raise ConfigurationError(
             f"coherent amplitude {mu} needs extent >= |mu| + 3, got {extent}"
         )
-
-    def profile(x, y):
-        return (2.0 / np.pi) * np.exp(-2.0 * ((x - mu.real) ** 2 + (y - mu.imag) ** 2))
-
-    profile.factors = (
-        _gaussian(-2.0, mu.real), np.array([[2.0 / np.pi]]), _gaussian(-2.0, mu.imag)
-    )
-
-    return WignerGrid.from_profile(profile, (mu.real, mu.imag, 2.0, 2.0), extent, resolution)
+    factors = (_gaussian(-2.0, mu.real), np.array([[2.0 / np.pi]]), _gaussian(-2.0, mu.imag))
+    return WignerGrid.from_profile(factors, (mu.real, mu.imag, 2.0, 2.0), extent, resolution)
 
 
 def vacuum_wigner(

@@ -12,7 +12,8 @@ mixing of the input with one channel mode, quadrature readout, conditional
 displacement of the other mode) by four-dimensional Gauss-Hermite
 quadrature and serves as an independent cross-check of the convolution
 route.  It and ``measurement_density`` sum the input over its x and y
-nodes separately, through its separable form (``WignerGrid.factors``).
+nodes separately, through its separable form (``WignerGrid.factors``),
+and refuse exact factors of a degree their rule cannot integrate.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import GaussianTwoMode, as_noise
+from .errors import AccuracyError
 from .numerics import gauss_hermite
 from .phase_space import WignerGrid, as_grid, check_geometry, smooth
 
@@ -55,6 +57,20 @@ def _centred_nodes(rule, a, p, b, c):
     return t, rule.weights[None, :] * res / np.sqrt(rho)
 
 
+def _input_factors(w_o: WignerGrid, rule):
+    """``w_o.factors()``, checked against the quadrature ``rule``: q nodes
+    integrate exact factors of degree below 2q, so a core of size c (a
+    number state of index c - 1) needs c <= q.  The spline's piecewise
+    basis is not checked."""
+    fx, core, fy = w_o.factors()
+    if w_o.profile is not None and core.shape[0] > len(rule.nodes):
+        raise AccuracyError(
+            f"an input core of size {core.shape[0]} needs at least {core.shape[0]} "
+            f"quadrature nodes, got {len(rule.nodes)}"
+        )
+    return fx, core, fy
+
+
 def _node_sums(basis, nodes, weights):
     """sum_k weights[p, k] basis(nodes[p, k]): one row of basis sums per point."""
     return np.einsum("pk,pkc->pc", weights, basis(nodes))
@@ -86,13 +102,16 @@ def protocol_oracle(
     j only on a_i, so with the separable form W_o = fx @ core @ fy of
     :meth:`WignerGrid.factors` the sum is one matrix product
     ``(weighted fx node sums) @ core @ (weighted fy node sums).T``.  That
-    form is exact for the profiles of every state constructor, and the
-    quintic spline of the grid values otherwise.
+    form is the exact ``profile`` of every state constructor's grid, and the
+    quintic spline of the grid values otherwise.  Exact factors need at
+    least as many nodes as their core has rows (``order`` > m for Fock m),
+    else :class:`AccuracyError`.
     """
     as_grid(w_o, "protocol_oracle", wigner=True)
     resolution = w_o.resolution if resolution is None else resolution
     check_geometry(w_o.extent, resolution)
     rule = gauss_hermite(order)
+    fx, core, fy = _input_factors(w_o, rule)
 
     # the two displacement-conjugate dimensions hold pure Gaussians of curvature 4 / n_plus
     sum_s = rule.weights.sum() * np.sqrt(ch.n_plus) / 2.0
@@ -102,8 +121,6 @@ def protocol_oracle(
     ax_out = np.linspace(-w_o.extent, w_o.extent, resolution)
     xo, wx = _centred_nodes(rule, k_ker, ax_out, kx, cx)  # (res, q)
     yo, wy = _centred_nodes(rule, k_ker, ax_out, ky, cy)
-
-    fx, core, fy = w_o.factors()
     out = ch.norm * sum_s**2 * (_node_sums(fx, xo, wx) @ core @ _node_sums(fy, yo, wy).T)
     return WignerGrid(sigma=0.0, extent=w_o.extent, values=out)
 
@@ -121,9 +138,12 @@ def measurement_density(
     At each readout point the input's x nodes and y nodes are separate
     axes, so with the separable form of :meth:`WignerGrid.factors` (as in
     :func:`protocol_oracle`) the density is the row-wise
-    ``einsum("pc,cd,pd->p", Md, core, Me)`` of the weighted node sums.
+    ``einsum("pc,cd,pd->p", Md, core, Me)`` of the weighted node sums.  Its
+    rule has ``ORACLE_ORDER`` nodes, so a number state above m = 39 raises
+    :class:`AccuracyError`.
     """
     as_grid(w_o, "measurement_density", wigner=True)
+    fx, core, fy = _input_factors(w_o, _DENSITY_RULE)
     di, er = np.broadcast_arrays(
         np.asarray(alpha_d_i, dtype=float), np.asarray(alpha_e_r, dtype=float)
     )
@@ -139,7 +159,6 @@ def measurement_density(
     en, we = _centred_nodes(rule, c_ch, -di, 0.5 * ky, di - np.sqrt(2.0) * cy)
     x_o = (dn - er[:, None]) / np.sqrt(2.0)  # (np, q)
     y_o = (di[:, None] - en) / np.sqrt(2.0)
-    fx, core, fy = w_o.factors()
     sums = np.einsum("pc,cd,pd->p", _node_sums(fx, x_o, wd), core, _node_sums(fy, y_o, we))
     out = (ch.norm * sum_c**2 * sums).reshape(shape)
     return out if out.ndim else float(out)

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used (no linter is installed)."""
+"""Source hygiene: every imported name is used, and every module-level
+private name in ``src/`` is referenced there (no linter is installed)."""
 
 import ast
 import pathlib
@@ -27,3 +28,46 @@ def test_no_unused_imports():
     files += sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in sorted(files) for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _private_definitions(tree, where):
+    # module-level functions, classes and assignments named _x (not __x__)
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = f"{where}:{node.lineno}"
+    return names
+
+
+def _references(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_unreferenced_private_names():
+    trees = {
+        path.relative_to(ROOT): ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((ROOT / "src" / "cvteleport").glob("*.py"))
+    }
+    defined = {}
+    for where, tree in trees.items():
+        defined.update(_private_definitions(tree, where))
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    dead = sorted(f"{where}: {name}" for name, where in defined.items() if name not in referenced)
+    assert not dead, dead

@@ -32,6 +32,7 @@ from cvteleport import (
     teleported_photon_stats,
     vacuum_wigner,
 )
+from cvteleport.phase_space import smooth
 
 
 def _grid_moment(g, m, n):
@@ -287,3 +288,23 @@ def test_p_negativity_probe_matches_teleport_then_convert():
     probe = p_negativity_probe(g, n, sigma=0.0)
     out_min = teleport_state(g, n).values.min()
     assert_allclose(probe, out_min, rtol=0, atol=1e-9)
+
+
+# an odd side puts the origin on a node (index 64)
+_PROBE_INPUTS = [fock_wigner(m, 8.0, 129) for m in range(6)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 5), st.floats(1.0, 3.0), st.floats(0.55, 0.95))
+def test_separable_channel_transfers_no_nonclassicality(m, n_sep, n_ent):
+    # the paper's main claim on the grid: at sigma = 1 the probe is the
+    # teleported P function, the input's (1 - 2 n_tau)-ordered function, which
+    # at the origin is (1/(pi n)) (-(1 - n)/n)^m for Fock m (Cahill and Glauber)
+    w = _PROBE_INPUTS[m]
+    origin = smooth(w, (2.0 * n_sep - 1.0) / 4.0).values[64, 64]  # the probe's smoothing
+    assert abs(origin - (-(1.0 - n_sep) / n_sep) ** m / (math.pi * n_sep)) <= 1e-14
+    # a separable channel (n_tau >= 1) leaves the P function nonnegative,
+    # and an entangled one keeps the negativity of every m >= 1
+    assert p_negativity_probe(w, n_sep, sigma=1.0) >= -1e-12
+    if m >= 1:
+        assert p_negativity_probe(w, n_ent, sigma=1.0) < 0.0

@@ -29,6 +29,8 @@ from cvteleport import (
     load_grid,
     save_grid,
     squeezed_vacuum_wigner,
+    teleported_fock_wigner,
+    teleported_squeezed_wigner,
     vacuum_wigner,
 )
 from cvteleport.phase_space import _blur_matrix, _write_text, smooth
@@ -77,8 +79,13 @@ def test_grid_geometry():
     ax = g.axes()
     assert ax[0] == -5.0 and ax[-1] == 5.0
     assert_allclose(g.dx, 0.1)
-    x, y = g.mesh()
-    assert_allclose(g.values, g.sample(x, y))
+    # every constructor's grid is its factors' product, which sample contracts point by point
+    grids = [g, fock_wigner(3, 6.0, 64), squeezed_vacuum_wigner(0.7, 6.0, 64),
+             coherent_wigner(1.0 - 0.5j, 6.0, 64), teleported_fock_wigner(5, 0.3, 8.0, 64),
+             teleported_squeezed_wigner(-0.5, 0.4, 8.0, 64)]
+    for grid in grids:
+        x, y = grid.mesh()
+        assert_allclose(grid.values, grid.sample(x, y), rtol=0, atol=1e-15)
 
 
 def test_value_at_outside_extent():
@@ -101,7 +108,7 @@ def test_spline_factors_match_sample():
     # the box is [-6, 6]^2; half the points lie outside it, where the spline clamps
     x, y = rng.uniform(-9.0, 9.0, (2, 400))
     got = np.einsum("pc,cd,pd->p", fx(x), core, fy(y))
-    assert_allclose(got, bare.sample(x, y), rtol=0, atol=1e-15)
+    assert_allclose(got, bare._interpolator()(x, y, grid=False), rtol=0, atol=1e-15)
     assert fx(x.reshape(20, 20)).shape == (20, 20, core.shape[0])
 
 
@@ -379,8 +386,9 @@ def test_scaled_smoothing_matches_unscaled_products(make, extent):
     for n_tau in (1e-3, 0.05, 0.3, 2.0):
         std = np.sqrt(n_tau / 2.0)
         k = _reference_blur(ax, std)
-        assert np.array_equal(_blur_matrix(ax, std, 1.0), k)
-        assert np.array_equal(_blur_matrix(ax, std, 2.0**300), np.ldexp(k, 300))
+        out = np.empty_like(k)
+        assert np.array_equal(_blur_matrix(ax, std, 1.0, out), k)
+        assert np.array_equal(_blur_matrix(ax, std, 2.0**300, out), np.ldexp(k, 300))
         want = k @ g.values @ k.T
         got = smooth(g, n_tau / 2.0).values
         normal = np.abs(want) >= 1e-300

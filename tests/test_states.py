@@ -169,7 +169,7 @@ def _teleported_fock_exact(m, n, x, y):
 def test_teleported_fock_matches_high_precision_sum(m):
     x, y = _random_points(m)
     for n in _ORACLE_NTAU:
-        got = teleported_fock_wigner(m, n, resolution=16).profile(x, y)
+        got = teleported_fock_wigner(m, n, resolution=16).sample(x, y)
         exact = [_teleported_fock_exact(m, n, xi, yi) for xi, yi in zip(x, y)]
         assert_allclose(got, exact, rtol=0, atol=1e-14, err_msg=f"m={m}, n_tau={n}")
 
@@ -184,7 +184,7 @@ def test_teleported_squeezed_matches_high_precision_form():
     x, y = _random_points(99)
     for s_o in (-0.7, 0.0, 0.5, 1.0):
         for n in _ORACLE_NTAU:
-            got = teleported_squeezed_wigner(s_o, n, resolution=16).profile(x, y)
+            got = teleported_squeezed_wigner(s_o, n, resolution=16).sample(x, y)
             with mpmath.workdps(60):
                 a_p = 2 * mpmath.mpf(n) + mpmath.exp(-2 * mpmath.mpf(s_o))
                 a_m = 2 * mpmath.mpf(n) + mpmath.exp(2 * mpmath.mpf(s_o))

@@ -207,24 +207,42 @@ def test_protocol_oracle_spline_fallback():
     got = protocol_oracle(bare, ch)
     want = protocol_oracle(g, ch)
     assert_allclose(got.values, want.values, rtol=0, atol=1e-6)
-    # a profile without factors sums the spline's factors too
-    plain = replace(g, profile=lambda x, y: g.profile(x, y))
-    assert plain.factors() is not None
-    assert_allclose(protocol_oracle(plain, ch).values, want.values, rtol=0, atol=1e-6)
+
+
+def _radial_fock(m, n, x, y):
+    # (2/pi) e^{-2r^2/v} q_m(u, z) / v^{m+1} with q_m from its homogeneous
+    # recurrence (k+1) q_{k+1} = ((2k+1) u - z) q_k - k u^2 q_{k-1} on (u/v, z/v)
+    v = 2.0 * n + 1.0
+    u = (2.0 * n - 1.0) / v
+    r2 = x**2 + y**2
+    z = -4.0 / (v * v) * r2
+    q_prev, q = np.zeros_like(r2), np.ones_like(r2)
+    for k in range(m):
+        q_prev, q = q, (((2 * k + 1) * u - z) * q - k * u * u * q_prev) / (k + 1)
+    return (2.0 / np.pi) / v * np.exp(-2.0 / v * r2) * q
+
+
+def _radial_squeezed(s_o, n, x, y):
+    b_plus = 1.0 + 2.0 * n * np.exp(2.0 * s_o)
+    b_minus = 1.0 + 2.0 * n * np.exp(-2.0 * s_o)
+    kx, ky = 2.0 * np.exp(2.0 * s_o) / b_plus, 2.0 * np.exp(-2.0 * s_o) / b_minus
+    return (2.0 / np.pi) / np.sqrt(b_plus * b_minus) * np.exp(-kx * x**2 - ky * y**2)
 
 
 def test_profile_factors_reproduce_profiles():
     rng = np.random.default_rng(11)
     x, y = rng.uniform(-7.0, 7.0, (2, 500))
-    grids = [teleported_fock_wigner(m, n, 8.0, 16) for m in (*range(11), 20, 35, 50)
-             for n in (0.0, 0.3, 0.5, 2.0)]
-    grids += [teleported_squeezed_wigner(s_o, n, 8.0, 16) for s_o in (-0.7, 0.0, 1.0)
-              for n in (0.0, 0.4)]
-    grids += [coherent_wigner(mu, 8.0, 16) for mu in (0.0, 1.5 - 0.5j)]
-    for g in grids:
+    cases = [(teleported_fock_wigner(m, n, 8.0, 16), _radial_fock(m, n, x, y))
+             for m in (*range(11), 20, 35, 50) for n in (0.0, 0.3, 0.5, 2.0)]
+    cases += [(teleported_squeezed_wigner(s_o, n, 8.0, 16), _radial_squeezed(s_o, n, x, y))
+              for s_o in (-0.7, 0.0, 1.0) for n in (0.0, 0.4)]
+    cases += [(coherent_wigner(mu, 8.0, 16),
+               (2.0 / np.pi) * np.exp(-2.0 * ((x - mu.real) ** 2 + (y - mu.imag) ** 2)))
+              for mu in (0.0, 1.5 - 0.5j)]
+    for g, want in cases:
         fx, core, fy = g.factors()
         got = np.einsum("pc,cd,pd->p", fx(x), core, fy(y))
-        assert_allclose(got, g.profile(x, y), rtol=0, atol=1e-12)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_factored_quadratures_match_pointwise():
@@ -255,6 +273,19 @@ def test_protocol_oracle_factored_above_ten():
     rows = np.array([measurement_density(w, ch, di, ax) for di in ax])
     assert rows.min() >= -1e-9
     assert abs(integrate_2d(rows, ax) - 1.0) <= 1e-5
+
+
+def test_quadratures_reject_cores_beyond_their_order():
+    # q nodes integrate a number state exactly only for m < q
+    ch = evolve_channel(ChannelParams(0.3, 1.5, 0.7))
+    with pytest.raises(AccuracyError, match="41"):
+        measurement_density(fock_wigner(40, 8.0, 32), ch, 0.0, 0.0)
+    g = fock_wigner(50, 8.0, 32)
+    with pytest.raises(AccuracyError, match="51"):
+        protocol_oracle(g, ch)
+    got = protocol_oracle(g, ch, order=60)
+    want = teleported_fock_wigner(50, noise_factor(ChannelParams(0.3, 1.5, 0.7)), 8.0, 32)
+    assert np.abs(got.values - want.values).max() <= 1e-12
 
 
 def test_teleport_state_wide_kernel_meets_closed_form():
