@@ -109,13 +109,17 @@ def as_noise(n_tau) -> float:
     return float(n_tau.value)
 
 
-def evolve_channel(p: ChannelParams) -> GaussianTwoMode:
-    """Channel state after bath contact for renormalized time T."""
+def _growth(p: ChannelParams) -> float:
+    """exp(2 s_qc), or DomainError naming s_qc where it overflows."""
     try:
-        grow = math.exp(2.0 * p.s_qc)
+        return math.exp(2.0 * p.s_qc)
     except OverflowError:
         raise DomainError(f"s_qc = {p.s_qc} is too large: exp(2 s_qc) overflows") from None
-    return GaussianTwoMode(_mode_variance(p, np.exp(-2.0 * p.s_qc)), _mode_variance(p, grow))
+
+
+def evolve_channel(p: ChannelParams) -> GaussianTwoMode:
+    """Channel state after bath contact for renormalized time T."""
+    return GaussianTwoMode(_mode_variance(p, np.exp(-2.0 * p.s_qc)), _mode_variance(p, _growth(p)))
 
 
 def _mode_variance(p: ChannelParams, start: float) -> float:
@@ -131,18 +135,18 @@ def integrate_moment_flow(p: ChannelParams):
     Serves as an independent route to :func:`evolve_channel`.
     """
     a = 1.0 + 2.0 * p.n_bar
+    _growth(p)  # one domain with evolve_channel, at T = 1 too
+    if p.T >= 1.0:
+        return a, 0.0  # infinite-time fixed point
 
     def f(v):
         return np.array([a - v[0], -v[1]])
 
+    y = np.array([math.cosh(2.0 * p.s_qc), math.sinh(2.0 * p.s_qc)])  # finite with exp(2 s_qc)
+    tau_end = p.gamma_t
+    n = max(1, int(np.ceil(tau_end / 1e-3))) if tau_end > 0 else 0
+    h = tau_end / n if n else 0.0
     try:
-        # the start comes first, so that T = 1 rejects an overflowing s_qc too
-        y = np.array([math.cosh(2.0 * p.s_qc), math.sinh(2.0 * p.s_qc)])
-        if p.T >= 1.0:
-            return a, 0.0  # infinite-time fixed point
-        tau_end = p.gamma_t
-        n = max(1, int(np.ceil(tau_end / 1e-3))) if tau_end > 0 else 0
-        h = tau_end / n if n else 0.0
         with np.errstate(over="raise"):  # a start near the float limit overflows in the steps
             for _ in range(n):
                 k1 = f(y)
@@ -150,8 +154,8 @@ def integrate_moment_flow(p: ChannelParams):
                 k3 = f(y + 0.5 * h * k2)
                 k4 = f(y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    except (OverflowError, FloatingPointError):
-        raise DomainError(f"s_qc = {p.s_qc} is too large: cosh(2 s_qc) overflows the flow") from None
+    except FloatingPointError:
+        raise DomainError(f"s_qc = {p.s_qc} is too large: the flow's Runge-Kutta steps overflow") from None
     return float(y[0]), float(y[1])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import as_noise
 from .errors import ConfigurationError, DomainError
-from .numerics import integrate_2d
+from .numerics import trapezoid_weights
 from .phase_space import WignerGrid, as_grid
 
 _RESCALE = 2.0**300
@@ -52,8 +52,8 @@ def overlap_fidelity(w_o: WignerGrid, w_r: WignerGrid) -> FidelityReport:
         )
     if not w_o.pure_origin:
         raise ConfigurationError("the reference state must be pure for overlap fidelity")
-    val = np.pi * integrate_2d(w_o.values * w_r.values, w_o.axes())
-    return FidelityReport(value=val)
+    w = trapezoid_weights(w_o.resolution, w_o.dx)
+    return FidelityReport(value=np.pi * (w @ (w_o.values * w_r.values) @ w))
 
 
 def fock_fidelity(m: int, n_tau) -> FidelityReport:

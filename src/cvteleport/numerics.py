@@ -1,5 +1,5 @@
-"""Shared numerical kernels: Gauss-Hermite rules and trapezoidal
-integration over phase-space grids."""
+"""Shared numerical kernels: Gauss-Hermite rules and the trapezoid
+weights behind every grid integral."""
 
 from __future__ import annotations
 
@@ -44,14 +44,8 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-def integrate_2d(values: np.ndarray, ax: np.ndarray) -> float:
-    """Trapezoidal integral of samples on the square grid ax x ax."""
-    return float(np.trapezoid(np.trapezoid(values, ax, axis=1), ax))
-
-
 def grid_integrate(g) -> float:
-    """Trapezoidal integral of a sampled phase-space function over its grid.
-
-    ``g`` is any object exposing ``values`` (2D array) and ``axes()``.
-    """
-    return integrate_2d(g.values, g.axes())
+    """Trapezoidal integral ``w @ values @ w`` of a ``WignerGrid`` ``g``; reads
+    its ``values``, ``resolution`` and ``dx``, not ``axes()``."""
+    w = trapezoid_weights(g.resolution, g.dx)
+    return float(w @ g.values @ w)

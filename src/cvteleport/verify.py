@@ -27,7 +27,7 @@ from .channel import (
 from .errors import ConfigurationError
 from .fidelity import fock_fidelity, squeezed_fidelity
 from .nonclassicality import photon_statistics, quadrature_statistics
-from .numerics import grid_integrate, integrate_2d
+from .numerics import grid_integrate, trapezoid_weights
 from .separability import (
     PExponentMatrix,
     channel_is_separable_via_appendix,
@@ -324,6 +324,7 @@ def criterion_9():
         if err > tol:
             return False, f"{label} integrates to 1{err:+.3g}"
     ax = np.linspace(-6.0, 6.0, 101)
+    weights = trapezoid_weights(ax.size, 12.0 / (ax.size - 1))
     density_cases = [
         ("vacuum, bare channel", vacuum_wigner(), evolve_channel(ChannelParams(0.0, 0.0, 0.0))),
         (
@@ -338,7 +339,7 @@ def criterion_9():
             rows[i] = measurement_density(w, ch, di, ax)
         if rows.min() < -1e-9:
             return False, f"{label} density dips to {rows.min():.3g}"
-        mass = integrate_2d(rows, ax)
+        mass = weights @ rows @ weights
         err = abs(mass - 1.0)
         worst = max(worst, err)
         if err > tol:

@@ -109,11 +109,14 @@ def test_moment_flow_matches_closed_form():
         assert_allclose((gamma, lam), (ch.gamma, ch.lam), rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("s_qc, T", [(400.0, 0.0), (400.0, 0.5), (354.7, 0.5), (400.0, 1.0)])
+@pytest.mark.parametrize(
+    "s_qc, T", [(400.0, 0.0), (400.0, 0.5), (354.7, 0.5), (400.0, 1.0), (355.0, 1.0)]
+)
 def test_moment_flow_rejects_overflowing_squeezing(s_qc, T):
-    # cosh(2 s_qc) overflows at 400, also at T = 1, where evolve_channel raises
-    # too; at 354.7 it is finite but the Runge-Kutta steps overflow; tier-1
-    # turns a numpy overflow warning into an error
+    # exp(2 s_qc) overflows at 400 and at 355, also at T = 1, where
+    # evolve_channel raises too (cosh(2 s_qc) is still finite at 355); at
+    # 354.7 it is finite but the Runge-Kutta steps overflow; tier-1 turns a
+    # numpy overflow warning into an error
     with pytest.raises(DomainError, match="s_qc"):
         integrate_moment_flow(ChannelParams(s_qc=s_qc, n_bar=0.0, T=T))
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import eval_legendre
 
@@ -23,6 +25,7 @@ from cvteleport import (
     teleported_squeezed_wigner,
     vacuum_wigner,
 )
+from cvteleport.cli import GRID_TOLERANCE
 
 
 def legendre(m, z):
@@ -181,3 +184,26 @@ def test_fidelity_monotone_in_noise():
     ):
         assert np.all(np.diff(series) < 0.0)
     assert fock_fidelity(0, 1e3).value < 2e-3
+
+
+@st.composite
+def _teleported_inputs(draw):
+    res = draw(st.sampled_from([96, 128]))
+    dx = 16.0 / (res - 1)
+    # sampled smoothing taps are exact above the per-axis variance 2 dx^2,
+    # i.e. n_tau >= 4 dx^2; band-limited narrow-kernel taps (ROADMAP item 3)
+    # lower this floor
+    n_tau = draw(st.one_of(st.just(0.0), st.floats(4.0 * dx**2, 3.0)))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 5))
+        return fock_wigner(m, 8.0, res), fock_fidelity(m, n_tau), n_tau
+    s = draw(st.floats(-1.0, 1.0))
+    return squeezed_vacuum_wigner(s, 8.0, res), squeezed_fidelity(s, n_tau), n_tau
+
+
+@settings(max_examples=80, deadline=None)
+@given(_teleported_inputs())
+def test_overlap_fidelity_matches_closed_forms(case):
+    w, closed, n_tau = case
+    grid = overlap_fidelity(w, teleport_state(w, n_tau))
+    assert abs(grid.value - closed.value) <= GRID_TOLERANCE

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and every module-level
-private name in ``src/`` is referenced there (no linter is installed)."""
+"""Source hygiene: every imported name is used, every module-level
+private name in ``src/`` is referenced there, and ``src/`` integrates grids
+only through ``numerics.trapezoid_weights`` (no linter is installed)."""
 
 import ast
 import pathlib
@@ -71,3 +72,24 @@ def test_no_unreferenced_private_names():
     referenced = set().union(*(_references(tree) for tree in trees.values()))
     dead = sorted(f"{where}: {name}" for name, where in defined.items() if name not in referenced)
     assert not dead, dead
+
+
+# numpy's and scipy's trapezoid routines, under their current and old names
+_TRAPEZOID_ROUTINES = {"trapezoid", "trapz", "cumulative_trapezoid", "cumtrapz"}
+
+
+def test_one_trapezoid_rule():
+    calls = []
+    for path in sorted((ROOT / "src" / "cvteleport").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            elif isinstance(node, ast.ImportFrom):
+                name = next((a.name for a in node.names if a.name in _TRAPEZOID_ROUTINES), None)
+            else:
+                continue
+            if name in _TRAPEZOID_ROUTINES:
+                calls.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert not calls, calls

@@ -11,6 +11,8 @@ from cvteleport import (
     fock_wigner,
     gauss_hermite,
     grid_integrate,
+    squeezed_vacuum_wigner,
+    teleport_state,
     vacuum_wigner,
 )
 from cvteleport.phase_space import WignerGrid
@@ -68,3 +70,25 @@ def test_grid_integrate_normalized_states():
 def test_grid_integrate_zeros():
     g = WignerGrid(sigma=0.0, extent=6.0, values=np.zeros((64, 64)))
     assert grid_integrate(g) == 0.0
+
+
+def _double_trapezoid(g):
+    """Reference: the double np.trapezoid over the grid's own axis."""
+    ax = g.axes()
+    return float(np.trapezoid(np.trapezoid(g.values, ax, axis=1), ax))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(vacuum_wigner, id="vacuum"),
+        pytest.param(lambda: fock_wigner(5), id="fock5"),
+        pytest.param(lambda: squeezed_vacuum_wigner(0.7, extent=8.0), id="squeezed0.7"),
+        pytest.param(lambda: teleport_state(fock_wigner(3), 0.8812), id="teleported-fock3"),
+        pytest.param(lambda: fock_wigner(3, 8.0, 512), id="fock3-512"),
+        pytest.param(lambda: WignerGrid(sigma=0.0, extent=6.0, values=np.zeros((64, 64))), id="zeros"),
+    ],
+)
+def test_grid_integrate_matches_double_trapezoid(make):
+    g = make()
+    assert abs(grid_integrate(g) - _double_trapezoid(g)) <= 1e-14
