@@ -33,10 +33,10 @@ class PhotonStats:
     variance: float
 
     def __post_init__(self):
-        if self.mean < -_VAR_SLOP:
-            raise DomainError(f"mean photon number must be >= 0, got {self.mean}")
-        if self.variance < -_VAR_SLOP:
-            raise DomainError(f"photon-number variance must be >= 0, got {self.variance}")
+        if not -_VAR_SLOP <= self.mean < math.inf:
+            raise DomainError(f"mean photon number must be finite and >= 0, got {self.mean}")
+        if not -_VAR_SLOP <= self.variance < math.inf:
+            raise DomainError(f"photon-number variance must be finite and >= 0, got {self.variance}")
         object.__setattr__(self, "mean", max(0.0, float(self.mean)))
         object.__setattr__(self, "variance", max(0.0, float(self.variance)))
 
@@ -53,8 +53,8 @@ class QuadratureStats:
     variance: float
 
     def __post_init__(self):
-        if self.variance < -_VAR_SLOP:
-            raise DomainError(f"quadrature variance must be >= 0, got {self.variance}")
+        if not -_VAR_SLOP <= self.variance < math.inf:
+            raise DomainError(f"quadrature variance must be finite and >= 0, got {self.variance}")
         object.__setattr__(self, "variance", max(0.0, float(self.variance)))
 
 

@@ -64,10 +64,11 @@ class WignerGrid:
         by the analytic constructors: ``fx(x) @ core @ fy(y)`` is its value
         at (x, y).  None for any other grid, whose :meth:`factors` are
         those of its quintic spline.
-    envelope : tuple or None
+    envelope : tuple
         Gaussian envelope hint ``(cx, cy, kx, ky)`` meaning the values decay
         at least like exp(-kx (x-cx)^2 - ky (y-cy)^2); used to place
-        quadrature nodes, never to alter results.
+        quadrature nodes, never to alter results.  The vacuum's
+        ``(0, 0, 2, 2)`` unless given; curvatures must be positive.
     pure_origin : bool
         True when the grid was built from a pure state (needed by overlap
         fidelities).
@@ -77,7 +78,7 @@ class WignerGrid:
     extent: float
     values: np.ndarray
     profile: object = None
-    envelope: tuple = None
+    envelope: tuple = (0.0, 0.0, 2.0, 2.0)
     pure_origin: bool = False
 
     def __post_init__(self):
@@ -90,6 +91,15 @@ class WignerGrid:
         if not np.all(np.isfinite(vals)):
             raise ConfigurationError("grid values must be finite")
         object.__setattr__(self, "values", vals)
+        try:
+            env = tuple(map(float, self.envelope))
+        except (TypeError, ValueError):
+            env = ()
+        if len(env) != 4 or not all(map(math.isfinite, env)) or min(env[2:]) <= 0.0:
+            raise ConfigurationError(
+                f"grid envelope must be finite (cx, cy, kx, ky) with kx, ky > 0, got {self.envelope!r}"
+            )
+        object.__setattr__(self, "envelope", env)
 
     @classmethod
     def from_profile(cls, profile, envelope, extent, resolution, pure=True) -> WignerGrid:
@@ -123,16 +133,6 @@ class WignerGrid:
         ax = self.axes()
         return np.meshgrid(ax, ax, indexing="ij")
 
-    def _interpolator(self):
-        cached = self.__dict__.get("_spline")
-        if cached is None:
-            from scipy.interpolate import RectBivariateSpline
-
-            ax = self.axes()
-            cached = RectBivariateSpline(ax, ax, self.values, kx=5, ky=5)
-            object.__setattr__(self, "_spline", cached)
-        return cached
-
     def sample(self, x, y):
         """Evaluate the distribution at arbitrary points, as the one
         contraction ``fx(x) @ core @ fy(y)`` of :meth:`factors`: exact for a
@@ -148,32 +148,34 @@ class WignerGrid:
         ``fx(t)`` and ``fy(t)`` stack basis functions on a new last axis, and
         ``fx(x) @ core @ fy(y)`` is the value at (x, y) point by point.  It
         is the exact ``profile`` when one is attached.  Otherwise it is the
-        cached quintic spline of the grid values: B-spline design matrices on
-        its knots, with points clipped to the box as the spline clamps them,
-        and its coefficient matrix.
+        quintic spline of the grid values, computed once and cached: the
+        B-spline design matrix on its knots, with points clipped to the box
+        as the spline clamps them, for both axes (a square grid's two axes
+        share knots), and its coefficient matrix.
         """
         if self.profile is not None:
             return self.profile
-        from scipy.interpolate import BSpline
+        cached = self.__dict__.get("_factors")
+        if cached is None:
+            from scipy.interpolate import BSpline, RectBivariateSpline
 
-        spline = self._interpolator()
-        tx, ty, coef = spline.tck
-        kx, ky = spline.degrees
+            ax = self.axes()
+            knots, _, coef = RectBivariateSpline(ax, ax, self.values, kx=5, ky=5).tck
+            extent = self.extent  # the closure holds no reference to the grid
 
-        def basis(knots, k):
-            def design(t):
-                t = np.clip(np.asarray(t, dtype=float), -self.extent, self.extent)
-                rows = BSpline.design_matrix(t.ravel(), knots, k).toarray()
+            def basis(t):
+                t = np.clip(np.asarray(t, dtype=float), -extent, extent)
+                rows = BSpline.design_matrix(t.ravel(), knots, 5).toarray()
                 return rows.reshape(t.shape + rows.shape[-1:])
 
-            return design
-
-        core = coef.reshape(len(tx) - kx - 1, len(ty) - ky - 1)
-        return basis(tx, kx), core, basis(ty, ky)
+            side = len(knots) - 6
+            cached = (basis, coef.reshape(side, side), basis)
+            object.__setattr__(self, "_factors", cached)
+        return cached
 
     def value_at(self, alpha: complex) -> float:
         a = complex(alpha)
-        if max(abs(a.real), abs(a.imag)) > self.extent:
+        if not (abs(a.real) <= self.extent and abs(a.imag) <= self.extent):
             raise DomainError(f"point {a} lies outside the grid extent {self.extent}")
         return float(self.sample(a.real, a.imag))
 
@@ -237,8 +239,8 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
 
     Teleporting (var = n_tau / 2), lowering the ordering (var = delta_sigma / 4)
     and the P-negativity probe all reduce to this one smoothing.  The
-    result keeps ``sigma``, drops the profile, widens the envelope, and
-    stays pure only when var = 0.
+    result keeps ``sigma`` and widens the envelope; it keeps the profile
+    and stays pure only when var = 0, where it copies the values.
 
     The two products run on scaled operands, the kernel times 2^300 and
     the grid times 2^(420 - e) where |values| < 2^e, and the result is
@@ -279,15 +281,13 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
         np.matmul(k, scaled, out=half)
         np.matmul(half, k.T, out=scaled)
         values = np.ldexp(scaled, top - _GRID_EXP - 2 * _KERNEL_EXP)
-    envelope = g.envelope
-    if envelope is not None:
-        cx, cy, kx, ky = envelope
-        envelope = (cx, cy, kx / (1.0 + 2.0 * kx * var), ky / (1.0 + 2.0 * ky * var))
+    cx, cy, kx, ky = g.envelope
     return WignerGrid(
         sigma=g.sigma,
         extent=g.extent,
         values=values,
-        envelope=envelope,
+        profile=g.profile if var == 0.0 else None,
+        envelope=(cx, cy, kx / (1.0 + 2.0 * kx * var), ky / (1.0 + 2.0 * ky * var)),
         pure_origin=g.pure_origin and var == 0.0,
     )
 
@@ -304,10 +304,7 @@ def convert_sigma(g: WignerGrid, sigma_to: float) -> WignerGrid:
             f"cannot raise sigma from {g.sigma} to {sigma_to} on a sampled grid; "
             "deconvolution is ill-posed"
         )
-    s = g.sigma - sigma_to
-    if s == 0.0:
-        return replace(g, values=g.values.copy())
-    return replace(smooth(g, s / 4.0), sigma=sigma_to)
+    return replace(smooth(g, (g.sigma - sigma_to) / 4.0), sigma=sigma_to)
 
 
 def characteristic(g: WignerGrid, xi):
@@ -318,7 +315,7 @@ def characteristic(g: WignerGrid, xi):
     """
     xi_arr = np.asarray(xi, dtype=complex)
     as_grid(g, "characteristic")
-    if np.any(np.abs(xi_arr) > band_limit(g)):
+    if not np.all(np.abs(xi_arr) <= band_limit(g)):
         raise AccuracyError(
             f"|xi| exceeds the grid band limit {band_limit(g):.4g}"
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import GaussianTwoMode, as_noise
-from .errors import AccuracyError
+from .errors import AccuracyError, ConfigurationError
 from .numerics import gauss_hermite
 from .phase_space import WignerGrid, as_grid, check_geometry, smooth
 
@@ -40,10 +40,6 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
     """
     n = as_noise(n_tau)
     return smooth(as_grid(w_o, "teleport_state", wigner=True), n / 2.0)
-
-
-def _envelope(w_o: WignerGrid):
-    return w_o.envelope if w_o.envelope is not None else (0.0, 0.0, 2.0, 2.0)
 
 
 def _centred_nodes(rule, a, p, b, c):
@@ -117,7 +113,7 @@ def protocol_oracle(
     sum_s = rule.weights.sum() * np.sqrt(ch.n_plus) / 2.0
     k_ker = 1.0 / ch.n_minus
 
-    cx, cy, kx, ky = _envelope(w_o)
+    cx, cy, kx, ky = w_o.envelope
     ax_out = np.linspace(-w_o.extent, w_o.extent, resolution)
     xo, wx = _centred_nodes(rule, k_ker, ax_out, kx, cx)  # (res, q)
     yo, wy = _centred_nodes(rule, k_ker, ax_out, ky, cy)
@@ -134,7 +130,7 @@ def measurement_density(
     """Joint density of the two measured quadratures (Im of one splitter
     output, Re of the other), marginalized over everything unread.
 
-    Accepts scalars or broadcastable arrays and returns matching shape.
+    Accepts finite scalars or broadcastable arrays and returns matching shape.
     At each readout point the input's x nodes and y nodes are separate
     axes, so with the separable form of :meth:`WignerGrid.factors` (as in
     :func:`protocol_oracle`) the density is the row-wise
@@ -143,10 +139,12 @@ def measurement_density(
     :class:`AccuracyError`.
     """
     as_grid(w_o, "measurement_density", wigner=True)
-    fx, core, fy = _input_factors(w_o, _DENSITY_RULE)
     di, er = np.broadcast_arrays(
         np.asarray(alpha_d_i, dtype=float), np.asarray(alpha_e_r, dtype=float)
     )
+    if not (np.isfinite(di).all() and np.isfinite(er).all()):
+        raise ConfigurationError("measurement_density takes finite readout points")
+    fx, core, fy = _input_factors(w_o, _DENSITY_RULE)
     shape = di.shape
     di = di.ravel()
     er = er.ravel()
@@ -154,7 +152,7 @@ def measurement_density(
     sum_c = rule.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)  # unread quadratures
     c_ch = 2.0 / (ch.n_minus + ch.n_plus)  # background curvature left on the splitter mode
 
-    cx, cy, kx, ky = _envelope(w_o)
+    cx, cy, kx, ky = w_o.envelope
     dn, wd = _centred_nodes(rule, c_ch, -er, 0.5 * kx, er + np.sqrt(2.0) * cx)  # (np, q)
     en, we = _centred_nodes(rule, c_ch, -di, 0.5 * ky, di - np.sqrt(2.0) * cy)
     x_o = (dn - er[:, None]) / np.sqrt(2.0)  # (np, q)

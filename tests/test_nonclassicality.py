@@ -165,6 +165,22 @@ def test_photon_stats_validation():
         PhotonStats(mean=1.0, variance=-0.5)
     s = PhotonStats(mean=-1e-8, variance=-1e-8)  # tiny negatives clamp to zero
     assert s.mean == 0.0 and s.variance == 0.0
+    # NaN and inf are not laundered to 0 by the clamp
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="mean"):
+            PhotonStats(mean=bad, variance=0.0)
+        with pytest.raises(DomainError, match="variance"):
+            PhotonStats(mean=0.0, variance=bad)
+    with pytest.raises(DomainError, match="quadrature variance"):
+        QuadratureStats(phi=0.0, mean=0.0, variance=-0.5)
+    q = QuadratureStats(phi=0.0, mean=0.0, variance=-1e-8)
+    assert q.variance == 0.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="quadrature variance"):
+            QuadratureStats(phi=0.0, mean=0.0, variance=bad)
+    # a NaN angle used to report variance 0, perfect squeezing
+    with pytest.raises(DomainError, match="quadrature variance"):
+        quadrature_statistics(vacuum_wigner(resolution=64), np.nan)
 
 
 def test_teleported_photon_stats_routes_agree():

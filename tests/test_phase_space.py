@@ -1,11 +1,13 @@
 """Quasiprobability grids, ordering conversions and characteristic functions."""
 
 import csv
+import gc
 import io
 import json
 import os
 import stat
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.interpolate import RectBivariateSpline
 
 from cvteleport import (
     AccuracyError,
@@ -29,6 +32,7 @@ from cvteleport import (
     load_grid,
     save_grid,
     squeezed_vacuum_wigner,
+    teleport_state,
     teleported_fock_wigner,
     teleported_squeezed_wigner,
     vacuum_wigner,
@@ -67,6 +71,12 @@ def test_grid_validation():
     for resolution in (0, -1, 8.5):
         with pytest.raises(ConfigurationError, match="resolution"):
             fock_wigner(1, resolution=resolution)
+    # the node envelope is a Gaussian: four finite numbers, positive curvatures
+    for envelope in (None, (0.0, 0.0, 2.0), (0.0, 0.0, 2.0, 2.0, 2.0), (np.nan, 0.0, 2.0, 2.0),
+                     (0.0, np.inf, 2.0, 2.0), (0.0, 0.0, np.nan, 2.0), (0.0, 0.0, 2.0, np.inf),
+                     (0.0, 0.0, 0.0, 2.0), (0.0, 0.0, 2.0, -1.0), (0.0, 0.0, "x", 2.0), 2.0):
+        with pytest.raises(ConfigurationError, match="envelope"):
+            WignerGrid(sigma=0.0, extent=6.0, values=vals, envelope=envelope)
     # the accepting side of each boundary: side 8 and sigma = +-1
     assert WignerGrid(sigma=0.0, extent=6.0, values=np.zeros((8, 8))).resolution == 8
     assert fock_wigner(1, resolution=8).resolution == 8
@@ -92,6 +102,12 @@ def test_value_at_outside_extent():
     g = vacuum_wigner()
     with pytest.raises(DomainError):
         g.value_at(7.0 + 0j)
+    # a NaN coordinate lies in no box, on either route
+    small = vacuum_wigner(resolution=32)
+    for grid in (g, small, replace(small, profile=None)):
+        for alpha in (complex(np.nan, 0.0), complex(0.0, np.nan), np.nan):
+            with pytest.raises(DomainError, match="outside"):
+                grid.value_at(alpha)
 
 
 def test_spline_sampling_matches_profile():
@@ -108,8 +124,26 @@ def test_spline_factors_match_sample():
     # the box is [-6, 6]^2; half the points lie outside it, where the spline clamps
     x, y = rng.uniform(-9.0, 9.0, (2, 400))
     got = np.einsum("pc,cd,pd->p", fx(x), core, fy(y))
-    assert_allclose(got, bare._interpolator()(x, y, grid=False), rtol=0, atol=1e-15)
+    ax = bare.axes()
+    spline = RectBivariateSpline(ax, ax, bare.values, kx=5, ky=5)
+    assert_allclose(got, spline(x, y, grid=False), rtol=0, atol=1e-15)
     assert fx(x.reshape(20, 20)).shape == (20, 20, core.shape[0])
+
+
+def test_spline_factors_are_cached_without_holding_the_grid():
+    bare = WignerGrid(sigma=0.0, extent=6.0, values=fock_wigner(1, 6.0, 32).values)
+    first = bare.factors()
+    assert bare.factors() is first
+    fx, core, fy = first
+    assert fx is fy  # a square grid's axes share knots and degree
+    ref = weakref.ref(bare)
+    gc.disable()
+    try:
+        del bare
+        assert ref() is None  # freed by its reference count, with no cycle through the cache
+    finally:
+        gc.enable()
+    assert fx(np.zeros(3)).shape == (3, core.shape[0])
 
 
 def test_sample_broadcasts_on_both_routes():
@@ -136,6 +170,29 @@ def test_convert_sigma_identity():
     g = fock_wigner(2)
     same = convert_sigma(g, 0.0)
     assert np.array_equal(same.values, g.values)
+
+
+def test_zero_variance_smoothing_keeps_the_grid_description():
+    for g in (fock_wigner(1, 6.0, 64), squeezed_vacuum_wigner(0.7, 6.0, 64),
+              teleported_fock_wigner(2, 0.3, 6.0, 64)):
+        for out in (smooth(g, 0.0), teleport_state(g, 0.0), convert_sigma(g, 0.0)):
+            assert out.profile is g.profile
+            assert out.envelope == g.envelope
+            assert out.pure_origin == g.pure_origin
+            assert out.sigma == g.sigma
+            assert np.array_equal(out.values, g.values) and out.values is not g.values
+        for out in (smooth(g, 0.05), teleport_state(g, 0.1), convert_sigma(g, -0.2)):
+            assert out.profile is None and not out.pure_origin
+
+
+def test_default_envelope_is_the_vacuums_and_widens(tmp_path):
+    bare = WignerGrid(sigma=0.0, extent=6.0, values=fock_wigner(1, 6.0, 32).values)
+    save_grid(bare, str(tmp_path / "grid"))
+    for g in (bare, load_grid(str(tmp_path / "grid"))):
+        assert g.envelope == (0.0, 0.0, 2.0, 2.0)
+        for var in (0.0, 0.1, 0.5, 2.0):
+            k = 2.0 / (1.0 + 4.0 * var)
+            assert smooth(g, var).envelope == (0.0, 0.0, k, k)
 
 
 def test_convert_sigma_fock1_q_at_origin():
@@ -196,6 +253,11 @@ def test_characteristic_band_limit():
     g = vacuum_wigner(resolution=64)
     with pytest.raises(AccuracyError):
         characteristic(g, 1.01 * band_limit(g))
+    # a NaN frequency is not inside the band, on either route
+    for grid in (g, replace(g, profile=None)):
+        for xi in (np.nan, complex(0.0, np.nan), np.array([0.5, np.nan])):
+            with pytest.raises(AccuracyError, match="band limit"):
+                characteristic(grid, xi)
 
 
 def test_characteristic_gaussian_closed_form():
@@ -237,6 +299,10 @@ def test_load_grid_rejects_bad_header(tmp_path):
         ('{"sigma": 0.0, "extent": 6.0, "resolution": 32}\n', non_numeric),
         # the CSV axes were written at extent 6
         ('{"sigma": 0.0, "extent": 7.0, "resolution": 32}\n', good),
+        # the shape guard: -32 squares to the 1024 rows of a 32^2 file
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": 0}\n', good),
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": 31}\n', good),
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": -32}\n', good),
     ]
     for header, data in cases:
         (tmp_path / "grid.json").write_text(header)

@@ -1,9 +1,12 @@
 """Teleportation map: convolution route, closed forms, protocol integral."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import (
@@ -198,8 +201,33 @@ def test_protocol_oracle_matches_convolution():
     assert_allclose(grid_integrate(got), 1.0, rtol=0, atol=1e-5)
 
 
+_ORACLE_INPUTS = st.one_of(
+    st.integers(0, 5).map(lambda m: partial(fock_wigner, m)),
+    st.floats(-1.0, 1.0).map(lambda s: partial(squeezed_vacuum_wigner, s)),
+    st.complex_numbers(max_magnitude=2.0).map(lambda mu: partial(coherent_wigner, mu)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    _ORACLE_INPUTS,
+    st.sampled_from((96, 128)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 1.0),
+)
+def test_protocol_oracle_is_the_convolution(make, resolution, s_qc, n_bar, T):
+    # the box the verify oracle channels span, n_tau from e^-2 to 4, at
+    # criterion 3's tolerance
+    g = make(8.0, resolution)
+    p = ChannelParams(s_qc=s_qc, n_bar=n_bar, T=T)
+    got = protocol_oracle(g, evolve_channel(p))
+    want = teleport_state(g, noise_factor(p))
+    assert np.abs(got.values - want.values).max() <= 1e-5
+
+
 def test_protocol_oracle_spline_fallback():
-    # grids without an attached profile sample through the interpolator
+    # grids without an attached profile sample through their quintic spline
     p = ChannelParams(s_qc=0.5, n_bar=0.3, T=0.4)
     ch = evolve_channel(p)
     g = fock_wigner(1, extent=6.0, resolution=96)
@@ -372,6 +400,11 @@ def test_measurement_density_spline_route_matches_profile():
     want = measurement_density(g, ch, di, er)
     assert got.shape == (9, 7)
     assert_allclose(got, want, rtol=0, atol=1e-6)
+    # non-finite readout points raise on both routes, before any factors
+    for grid in (g, bare):
+        for point in ((np.nan, 0.0), (0.0, np.inf), (np.array([0.0, np.nan]), 0.0)):
+            with pytest.raises(ConfigurationError, match="finite readout"):
+                measurement_density(grid, ch, *point)
 
 
 def test_kernel_mutation_hook_breaks_oracle_agreement(monkeypatch):
