@@ -55,6 +55,8 @@ class QuadratureStats:
     def __post_init__(self):
         if not -_VAR_SLOP <= self.variance < math.inf:
             raise DomainError(f"quadrature variance must be finite and >= 0, got {self.variance}")
+        if not (math.isfinite(self.phi) and math.isfinite(self.mean)):
+            raise DomainError(f"quadrature angle and mean must be finite: {self.phi}, {self.mean}")
         object.__setattr__(self, "variance", max(0.0, float(self.variance)))
 
 
@@ -103,8 +105,9 @@ def moment_table(g) -> np.ndarray:
 def moments(w, m: int, n: int) -> complex:
     """Normally ordered moment <(a^dag)^m a^n>, m + n <= 4, read from
     :func:`moment_table`."""
-    if m < 0 or n < 0 or m + n > MAX_MOMENT_ORDER:
-        raise ConfigurationError("moment orders must satisfy m, n >= 0 and m + n <= 4")
+    integers = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (m, n))
+    if not integers or m < 0 or n < 0 or m + n > MAX_MOMENT_ORDER:
+        raise ConfigurationError(f"moment orders need integer m, n >= 0, m + n <= 4: {m!r}, {n!r}")
     return complex(moment_table(w)[m, n])
 
 
@@ -118,6 +121,8 @@ def photon_statistics(w) -> PhotonStats:
 
 def quadrature_statistics(w, phi: float = 0.0) -> QuadratureStats:
     """QuadratureStats of X(phi) from first and second moments."""
+    if not math.isfinite(phi):  # no angle: checked before np.exp warns on it
+        raise DomainError(f"quadrature variance is undefined at angle {phi}")
     t = moment_table(w)
     a1, a2, nbar = t[0, 1], t[0, 2], t[1, 1].real
     rot = np.exp(-1j * phi)

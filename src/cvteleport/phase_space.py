@@ -174,7 +174,10 @@ class WignerGrid:
         return cached
 
     def value_at(self, alpha: complex) -> float:
-        a = complex(alpha)
+        try:
+            a = complex(alpha)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"value_at takes a complex point, got {alpha!r}") from None
         if not (abs(a.real) <= self.extent and abs(a.imag) <= self.extent):
             raise DomainError(f"point {a} lies outside the grid extent {self.extent}")
         return float(self.sample(a.real, a.imag))
@@ -191,8 +194,8 @@ def as_grid(g, what: str, wigner: bool = False) -> WignerGrid:
 
 
 def band_limit(g: WignerGrid) -> float:
-    """Largest |xi| at which the grid can represent the characteristic function."""
-    return np.pi * g.resolution / (2.0 * g.extent)
+    """Largest |xi| the trapezoid sum of exp(2i xi x) resolves: pi / (2 dx), its Nyquist limit."""
+    return np.pi / (2.0 * g.dx)
 
 
 def _blur_matrix(ax: np.ndarray, std: float, scale: float, out: np.ndarray) -> np.ndarray:
@@ -313,7 +316,10 @@ def characteristic(g: WignerGrid, xi):
     Accepts a complex scalar or array ``xi``.  The grid is integrated by the
     trapezoid rule, and ``xi`` must stay inside the grid band limit.
     """
-    xi_arr = np.asarray(xi, dtype=complex)
+    try:
+        xi_arr = np.asarray(xi, dtype=complex)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"characteristic takes complex xi, got {xi!r}") from None
     as_grid(g, "characteristic")
     if not np.all(np.abs(xi_arr) <= band_limit(g)):
         raise AccuracyError(

@@ -53,23 +53,24 @@ def _centred_nodes(rule, a, p, b, c):
     return t, rule.weights[None, :] * res / np.sqrt(rho)
 
 
-def _input_factors(w_o: WignerGrid, rule):
-    """``w_o.factors()``, checked against the quadrature ``rule``: q nodes
-    integrate exact factors of degree below 2q, so a core of size c (a
-    number state of index c - 1) needs c <= q.  The spline's piecewise
-    basis is not checked."""
+def _factor_sums(w_o: WignerGrid, rule, a, px, py):
+    """``(Sx, core, Sy)`` with ``Sx[p] = Int exp(-a (x - px[p])^2) fx(x) dx``
+    by ``rule`` under the input's envelope (``Sy`` likewise on y), so that
+    ``Sx[p] @ core @ Sy[p]`` integrates the input against that Gaussian.
+
+    The factors are ``w_o.factors()``: q nodes integrate exact factors of
+    degree below 2q, so a core of size c (a number state of index c - 1)
+    needs c <= q.  The spline's piecewise basis is not checked."""
     fx, core, fy = w_o.factors()
     if w_o.profile is not None and core.shape[0] > len(rule.nodes):
         raise AccuracyError(
             f"an input core of size {core.shape[0]} needs at least {core.shape[0]} "
             f"quadrature nodes, got {len(rule.nodes)}"
         )
-    return fx, core, fy
-
-
-def _node_sums(basis, nodes, weights):
-    """sum_k weights[p, k] basis(nodes[p, k]): one row of basis sums per point."""
-    return np.einsum("pk,pkc->pc", weights, basis(nodes))
+    cx, cy, kx, ky = w_o.envelope
+    xn, wx = _centred_nodes(rule, a, px, kx, cx)  # (len(px), q)
+    yn, wy = _centred_nodes(rule, a, py, ky, cy)
+    return np.einsum("pk,pkc->pc", wx, fx(xn)), core, np.einsum("pk,pkc->pc", wy, fy(yn))
 
 
 def protocol_oracle(
@@ -107,17 +108,12 @@ def protocol_oracle(
     resolution = w_o.resolution if resolution is None else resolution
     check_geometry(w_o.extent, resolution)
     rule = gauss_hermite(order)
-    fx, core, fy = _input_factors(w_o, rule)
 
     # the two displacement-conjugate dimensions hold pure Gaussians of curvature 4 / n_plus
     sum_s = rule.weights.sum() * np.sqrt(ch.n_plus) / 2.0
-    k_ker = 1.0 / ch.n_minus
-
-    cx, cy, kx, ky = w_o.envelope
     ax_out = np.linspace(-w_o.extent, w_o.extent, resolution)
-    xo, wx = _centred_nodes(rule, k_ker, ax_out, kx, cx)  # (res, q)
-    yo, wy = _centred_nodes(rule, k_ker, ax_out, ky, cy)
-    out = ch.norm * sum_s**2 * (_node_sums(fx, xo, wx) @ core @ _node_sums(fy, yo, wy).T)
+    sx, core, sy = _factor_sums(w_o, rule, 1.0 / ch.n_minus, ax_out, ax_out)
+    out = ch.norm * sum_s**2 * (sx @ core @ sy.T)
     return WignerGrid(sigma=0.0, extent=w_o.extent, values=out)
 
 
@@ -131,12 +127,11 @@ def measurement_density(
     output, Re of the other), marginalized over everything unread.
 
     Accepts finite scalars or broadcastable arrays and returns matching shape.
-    At each readout point the input's x nodes and y nodes are separate
-    axes, so with the separable form of :meth:`WignerGrid.factors` (as in
-    :func:`protocol_oracle`) the density is the row-wise
-    ``einsum("pc,cd,pd->p", Md, core, Me)`` of the weighted node sums.  Its
-    rule has ``ORACLE_ORDER`` nodes, so a number state above m = 39 raises
-    :class:`AccuracyError`.
+    At each readout point the input's x and y nodes are separate axes in
+    the input's own coordinates, so (as in :func:`protocol_oracle`) the
+    density is the row-wise ``einsum("pc,cd,pd->p", Sx, core, Sy)`` of the
+    weighted node sums.  Its rule has ``ORACLE_ORDER`` nodes, so a number
+    state above m = 39 raises :class:`AccuracyError`.
     """
     as_grid(w_o, "measurement_density", wigner=True)
     di, er = np.broadcast_arrays(
@@ -144,19 +139,12 @@ def measurement_density(
     )
     if not (np.isfinite(di).all() and np.isfinite(er).all()):
         raise ConfigurationError("measurement_density takes finite readout points")
-    fx, core, fy = _input_factors(w_o, _DENSITY_RULE)
-    shape = di.shape
-    di = di.ravel()
-    er = er.ravel()
-    rule = _DENSITY_RULE
-    sum_c = rule.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)  # unread quadratures
-    c_ch = 2.0 / (ch.n_minus + ch.n_plus)  # background curvature left on the splitter mode
-
-    cx, cy, kx, ky = w_o.envelope
-    dn, wd = _centred_nodes(rule, c_ch, -er, 0.5 * kx, er + np.sqrt(2.0) * cx)  # (np, q)
-    en, we = _centred_nodes(rule, c_ch, -di, 0.5 * ky, di - np.sqrt(2.0) * cy)
-    x_o = (dn - er[:, None]) / np.sqrt(2.0)  # (np, q)
-    y_o = (di[:, None] - en) / np.sqrt(2.0)
-    sums = np.einsum("pc,cd,pd->p", _node_sums(fx, x_o, wd), core, _node_sums(fy, y_o, we))
-    out = (ch.norm * sum_c**2 * sums).reshape(shape)
+    shape, di, er = di.shape, di.ravel(), er.ravel()
+    # the unread quadratures sum to sum_c each; in the input's coordinates
+    # x = (d - e_r)/sqrt2, y = (d_i - e)/sqrt2 the splitter mode's exp(-c (d + e_r)^2),
+    # c = 2/(n_minus + n_plus), is exp(-2c (x + sqrt2 e_r)^2), and each Jacobian is sqrt2
+    sum_c = _DENSITY_RULE.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)
+    a = 4.0 / (ch.n_minus + ch.n_plus)
+    sx, core, sy = _factor_sums(w_o, _DENSITY_RULE, a, -np.sqrt(2.0) * er, np.sqrt(2.0) * di)
+    out = (2.0 * ch.norm * sum_c**2 * np.einsum("pc,cd,pd->p", sx, core, sy)).reshape(shape)
     return out if out.ndim else float(out)

@@ -8,10 +8,12 @@ import math
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import ConfigurationError, load_grid, verify
-from cvteleport.cli import main
+from cvteleport.cli import _FLAG_HELP, main
 
 
 def _run(capsys, argv):
@@ -399,3 +401,75 @@ def test_missing_channel_spec_is_usage_error(capsys):
     code, _, err = _run(capsys, ["teleport-export", "--state", "vacuum"])
     assert code == 1
     assert "--ntau" in err
+
+
+# the flags each drawn subcommand registers, as build_parser adds them
+_SUBCOMMAND_FLAGS = {
+    "noise-sweep": ("--squeezing", "--nbar", "--time", "--out", "--format"),
+    "fidelity-table": tuple(_FLAG_HELP),
+    "teleport-export": tuple(flag for flag in _FLAG_HELP if flag != "--format"),
+}
+_SMALL = st.floats(0.0, 2.0).map(repr)
+_NUMBERS = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-3, 60).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324"]),
+)
+_SELECTORS = st.one_of(
+    st.sampled_from(["vacuum", "fock:0", "fock:1", "fock:3", "squeezed:0.5", "coherent:1,0.5"]),
+    st.builds("fock:{}".format, st.integers(-2, 60)),
+    st.builds("squeezed:{}".format, _NUMBERS),
+    st.builds("coherent:{},{}".format, _NUMBERS, _NUMBERS),
+    st.sampled_from(["fock:", "fock:1.5", "fock:x", "squeezed:", "coherent:1", "coherent:a,b",
+                     "vacuum:1", "cat:1", "", ":"]),
+)
+_BAD_RANGES = st.sampled_from(["0:1", "0:1:0", "0:1:-2", "0:1:2.5", "0:1:1001", "a:b:3",
+                               "::", "0:1:2:3", "1:0:x", "nan:1:3"])
+_JUNK = st.text(max_size=8)
+_VALID = {
+    "--state": _SELECTORS,
+    "--grid-extent": st.sampled_from(["4", "6", "8"]),
+    "--format": st.sampled_from(["csv", "json", "text"]),
+}
+
+
+@st.composite
+def _argv(draw, out_dir):
+    # mostly well-formed flags and values, so that runs get past parsing
+    def value(valid, other):
+        return draw(valid if draw(st.integers(0, 3)) else other)
+
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = [command]
+    budget = 50  # lattice and n_tau points of one run, so the draw stays fast
+    for flag in _SUBCOMMAND_FLAGS[command]:
+        # --config names a file (its own tests cover it); --out stays under out_dir
+        if flag in ("--config", "--out", "--grid-res") or not draw(st.integers(0, 3)):
+            continue
+        steps = draw(st.integers(1, budget))
+        budget //= steps
+        ranged = st.builds("{}:{}:{}".format, _SMALL, _SMALL, st.just(steps))
+        anything = st.one_of(_NUMBERS, ranged, _BAD_RANGES, _SELECTORS, _JUNK)
+        argv += [flag, value(_VALID.get(flag, st.one_of(_SMALL, ranged)), anything)]
+    if "--grid-res" in _SUBCOMMAND_FLAGS[command]:
+        argv += ["--grid-res", value(st.sampled_from(["8", "16", "32"]), st.one_of(_NUMBERS, _JUNK))]
+    if command == "teleport-export" or draw(st.booleans()):
+        argv += ["--out", str(out_dir / command)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(capsys, tmp_path, data):
+    # any argv over the registered flags ends in exit 0-3, never a traceback,
+    # and a failure's last stderr line is the program's own one-line message
+    argv = data.draw(_argv(tmp_path), label="argv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code:
+        assert err.splitlines()[-1].startswith("cvteleport"), (argv, err)

@@ -149,6 +149,15 @@ def test_moments_order_cap():
         moments(vacuum_wigner(), 3, 2)
 
 
+def test_moments_orders_are_integers():
+    g = vacuum_wigner(resolution=32)
+    for order in (1.5, np.nan, True, "1", None):
+        for m, n in ((order, 0), (0, order)):
+            with pytest.raises(ConfigurationError, match="moment orders"):
+                moments(g, m, n)
+    assert moments(g, np.int64(1), np.int64(1)) == moments(g, 1, 1)
+
+
 def test_photon_statistics():
     s = photon_statistics(fock_wigner(2))
     assert_allclose(s.mean, 2.0, rtol=0, atol=1e-6)
@@ -178,9 +187,14 @@ def test_photon_stats_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="quadrature variance"):
             QuadratureStats(phi=0.0, mean=0.0, variance=bad)
-    # a NaN angle used to report variance 0, perfect squeezing
-    with pytest.raises(DomainError, match="quadrature variance"):
-        quadrature_statistics(vacuum_wigner(resolution=64), np.nan)
+    for phi, mean in ((0.0, np.nan), (np.nan, 0.0), (0.0, np.inf), (np.inf, 0.0)):
+        with pytest.raises(DomainError, match="angle and mean"):
+            QuadratureStats(phi=phi, mean=mean, variance=1.0)
+    # a NaN angle used to report variance 0, perfect squeezing; an infinite
+    # one warned in np.exp before it raised
+    for phi in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="quadrature variance"):
+            quadrature_statistics(vacuum_wigner(resolution=64), phi)
 
 
 def test_teleported_photon_stats_routes_agree():

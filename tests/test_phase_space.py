@@ -108,6 +108,10 @@ def test_value_at_outside_extent():
         for alpha in (complex(np.nan, 0.0), complex(0.0, np.nan), np.nan):
             with pytest.raises(DomainError, match="outside"):
                 grid.value_at(alpha)
+        # a point that is no number is a configuration error
+        for alpha in ("abc", None):
+            with pytest.raises(ConfigurationError, match="complex point"):
+                grid.value_at(alpha)
 
 
 def test_spline_sampling_matches_profile():
@@ -258,6 +262,21 @@ def test_characteristic_band_limit():
         for xi in (np.nan, complex(0.0, np.nan), np.array([0.5, np.nan])):
             with pytest.raises(AccuracyError, match="band limit"):
                 characteristic(grid, xi)
+        with pytest.raises(ConfigurationError, match="complex xi"):
+            characteristic(grid, "x")
+
+
+@pytest.mark.parametrize("resolution", [64, 256])
+def test_characteristic_is_exact_inside_its_band(resolution):
+    # the trapezoid sum of exp(2i xi x) at spacing dx aliases once 2 |xi| dx > pi,
+    # so up to band_limit = pi / (2 dx) a Gaussian's transform is exact:
+    # C(xi) = exp(-|xi|^2 / 2) exp(xi mu* - xi* mu) for a coherent state mu
+    for g, mu in ((vacuum_wigner(6.0, resolution), 0.0),
+                  (coherent_wigner(1.0 + 0.5j, 6.0, resolution), 1.0 + 0.5j)):
+        for direction in (1.0, 1j, np.exp(0.25j * np.pi)):
+            xi = np.array([0.5, 0.9, 0.99, 1.0]) * band_limit(g) * direction
+            want = np.exp(-0.5 * np.abs(xi) ** 2 + xi * np.conj(mu) - np.conj(xi) * mu)
+            assert_allclose(characteristic(g, xi), want, rtol=0, atol=1e-12)
 
 
 def test_characteristic_gaussian_closed_form():

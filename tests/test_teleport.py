@@ -390,6 +390,38 @@ def test_measurement_density_displaced_input_shifts_one_readout():
     assert_allclose(mean_er, -1.0 / np.sqrt(2.0), rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "make, mu, s",
+    [
+        (partial(coherent_wigner, 1.0 + 0.5j), 1.0 + 0.5j, 0.0),
+        (partial(coherent_wigner, -0.8 + 0.3j), -0.8 + 0.3j, 0.0),
+        (partial(squeezed_vacuum_wigner, 0.5), 0.0, 0.5),
+        (partial(squeezed_vacuum_wigner, -0.7), 0.0, -0.7),
+        (partial(squeezed_vacuum_wigner, 0.0), 0.0, 0.0),
+    ],
+    ids=["coherent+", "coherent-", "squeezed+", "squeezed-", "squeezed0"],
+)
+def test_measurement_density_gaussian_closed_form(make, mu, s):
+    # a Gaussian input of mean mu and quadrature variances v_x = e^{-2s}/4,
+    # v_y = e^{2s}/4 gives independent normal readouts:
+    # d_i ~ N(Im mu / sqrt2, (v_y + v_b)/2), e_r ~ N(-Re mu / sqrt2, (v_x + v_b)/2),
+    # with v_b = (n_minus + n_plus)/8 from the channel
+    g = make(8.0, 128)
+    v_x, v_y = np.exp(-2.0 * s) / 4.0, np.exp(2.0 * s) / 4.0
+    rng = np.random.default_rng(23)
+    di, er = rng.uniform(-2.5, 2.5, (2, 50))
+
+    def normal(t, mean, var):
+        return np.exp(-((t - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+    for params in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (1.0, 0.5, 0.5), (0.3, 1.5, 0.7)):
+        ch = evolve_channel(ChannelParams(*params))
+        v_b = (ch.n_minus + ch.n_plus) / 8.0
+        want = (normal(di, mu.imag / np.sqrt(2.0), (v_y + v_b) / 2.0)
+                * normal(er, -mu.real / np.sqrt(2.0), (v_x + v_b) / 2.0))
+        assert_allclose(measurement_density(g, ch, di, er), want, rtol=0, atol=1e-12)
+
+
 def test_measurement_density_spline_route_matches_profile():
     ch = evolve_channel(ChannelParams(s_qc=0.5, n_bar=0.3, T=0.4))
     g = fock_wigner(1, 6.0, 96)
