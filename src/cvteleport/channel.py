@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, as_kind, as_number
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class GaussianTwoMode:
     n_plus: float
 
     def __post_init__(self):
-        if not (0.0 < self.n_minus < math.inf and 0.0 < self.n_plus < math.inf):
+        if not (as_number(self.n_minus, "n_minus") > 0 and as_number(self.n_plus, "n_plus") > 0):
             raise ConfigurationError(f"n_minus and n_plus must lie in (0, inf), got {self}")
         if self.n_minus * self.n_plus < 1.0 - 1e-9:
             raise ConfigurationError(f"n_minus * n_plus must be >= 1, got {self}")
@@ -68,14 +68,11 @@ class ChannelParams:
     T: float
 
     def __post_init__(self):
-        for name in ("s_qc", "n_bar", "T"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.s_qc < 0:
+        if as_number(self.s_qc, "s_qc") < 0:
             raise ConfigurationError(f"s_qc must be >= 0, got {self.s_qc}")
-        if self.n_bar < 0:
+        if as_number(self.n_bar, "n_bar") < 0:
             raise ConfigurationError(f"n_bar must be >= 0, got {self.n_bar}")
-        if not 0.0 <= self.T <= 1.0:
+        if not 0.0 <= as_number(self.T, "T") <= 1.0:
             raise ConfigurationError(f"T must lie in [0, 1], got {self.T}")
 
     @property
@@ -91,9 +88,7 @@ class NoiseFactor:
     value: float
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ConfigurationError(f"noise factor must be finite, got {self.value}")
-        if self.value < 0:
+        if as_number(self.value, "noise factor") < 0:
             raise DomainError(f"noise factor must be >= 0, got {self.value}")
 
     def __float__(self) -> float:
@@ -105,7 +100,7 @@ def as_noise(n_tau) -> float:
     validated the same way: finite (else ConfigurationError) and >= 0
     (else DomainError)."""
     if not isinstance(n_tau, NoiseFactor):
-        n_tau = NoiseFactor(value=float(n_tau))
+        n_tau = NoiseFactor(value=n_tau)
     return float(n_tau.value)
 
 
@@ -119,6 +114,7 @@ def _growth(p: ChannelParams) -> float:
 
 def evolve_channel(p: ChannelParams) -> GaussianTwoMode:
     """Channel state after bath contact for renormalized time T."""
+    as_kind(p, ChannelParams, "evolve_channel")
     return GaussianTwoMode(_mode_variance(p, np.exp(-2.0 * p.s_qc)), _mode_variance(p, _growth(p)))
 
 
@@ -134,6 +130,7 @@ def integrate_moment_flow(p: ChannelParams):
     with tau = gamma*t, by classic fourth-order Runge-Kutta at step 1e-3.
     Serves as an independent route to :func:`evolve_channel`.
     """
+    as_kind(p, ChannelParams, "integrate_moment_flow")
     a = 1.0 + 2.0 * p.n_bar
     _growth(p)  # one domain with evolve_channel, at T = 1 too
     if p.T >= 1.0:
@@ -166,11 +163,13 @@ def noise_factor(p: ChannelParams) -> NoiseFactor:
 
     which is the channel state's n_minus, bit for bit.
     """
+    as_kind(p, ChannelParams, "noise_factor")
     return NoiseFactor(value=_mode_variance(p, np.exp(-2.0 * p.s_qc)))
 
 
 def direct_noise(p: ChannelParams) -> NoiseFactor:
     """Additive noise n_bar * T of direct transmission through the bath."""
+    as_kind(p, ChannelParams, "direct_noise")
     return NoiseFactor(value=float(p.n_bar) * float(p.T))
 
 
@@ -187,5 +186,6 @@ def teleport_vs_direct_gap(p: ChannelParams) -> float:
 
     equal to n_tau at T' = 1 - sqrt(1-T) minus n_bar * T, and never negative.
     """
+    as_kind(p, ChannelParams, "teleport_vs_direct_gap")
     u = np.sqrt(1.0 - p.T)
     return float(p.n_bar * (1.0 - u) ** 2 + 1.0 - u * (1.0 - np.exp(-2.0 * p.s_qc)))

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .channel import ChannelParams, direct_noise, is_separable, noise_factor, teleport_vs_direct_gap
-from .errors import AccuracyError, ConfigurationError, CvtError
+from .errors import AccuracyError, ConfigurationError, CvtError, as_index, as_number
 from .fidelity import fock_fidelity, overlap_fidelity, squeezed_fidelity
 from .nonclassicality import (
     p_positive_after_teleport,
@@ -64,9 +63,7 @@ def _parse_float(text: str, flag: str) -> float:
         value = float(text)
     except ValueError:
         raise ConfigurationError(f"{flag} expects a number, got {text!r}")
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{flag} must be finite, got {text!r}")
-    return value
+    return as_number(value, flag)
 
 
 def _parse_range(text: str, flag: str) -> np.ndarray:
@@ -183,9 +180,7 @@ def _grid_settings(args):
         res = int(args.grid_res)
     except ValueError:
         raise ConfigurationError(f"--grid-res expects an integer, got {args.grid_res!r}")
-    if not 8 <= res <= MAX_RESOLUTION:
-        raise ConfigurationError(f"--grid-res must lie in [8, {MAX_RESOLUTION}], got {res}")
-    return extent, res
+    return extent, as_index(res, "--grid-res", 8, MAX_RESOLUTION)
 
 
 def _channel_points(args):

@@ -12,12 +12,12 @@ every n_tau >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, isfinite, sqrt
+from math import cosh, sqrt
 
 import numpy as np
 
 from .channel import as_noise
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, as_index, as_number
 from .numerics import trapezoid_weights
 from .phase_space import WignerGrid, as_grid
 
@@ -29,7 +29,7 @@ class FidelityReport:
     value: float
 
     def __post_init__(self):
-        if not -1e-9 <= self.value <= 1.0 + 1e-9:
+        if not -1e-9 <= as_number(self.value, "fidelity", finite=False) <= 1.0 + 1e-9:
             raise DomainError(f"fidelity {self.value} outside [0, 1]")
         object.__setattr__(self, "value", min(max(float(self.value), 0.0), 1.0))
 
@@ -67,9 +67,7 @@ def fock_fidelity(m: int, n_tau) -> FidelityReport:
     their ratio recurrence and are rescaled by a power of two whenever they
     grow large, so every term stays finite for any m and n.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ConfigurationError("number-state index must be an integer >= 0")
-    m = int(m)
+    m = as_index(m, "number-state index")
     n = as_noise(n_tau)
     r = min(n, 1.0 / n) if n > 0.0 else 0.0
     t = s1 = s2 = 1.0
@@ -87,8 +85,7 @@ def squeezed_fidelity(s_o: float, n_tau) -> FidelityReport:
 
     F = (n^2 + 2 n cosh 2 s_o + 1)^{-1/2}.
     """
-    if not isfinite(s_o):
-        raise ConfigurationError(f"squeezing s_o must be finite, got {s_o}")
+    s_o = as_number(s_o, "squeezing s_o")
     n = as_noise(n_tau)
     try:
         val = 1.0 / sqrt(n**2 + 2.0 * n * cosh(2.0 * s_o) + 1.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import as_noise
-from .errors import ConfigurationError, DomainError, UnsupportedDeconvolutionError
+from .errors import DomainError, UnsupportedDeconvolutionError, as_index, as_kind, as_number
 from .numerics import trapezoid_weights
 from .phase_space import WignerGrid, as_grid, smooth
 
@@ -33,12 +33,11 @@ class PhotonStats:
     variance: float
 
     def __post_init__(self):
-        if not -_VAR_SLOP <= self.mean < math.inf:
-            raise DomainError(f"mean photon number must be finite and >= 0, got {self.mean}")
-        if not -_VAR_SLOP <= self.variance < math.inf:
-            raise DomainError(f"photon-number variance must be finite and >= 0, got {self.variance}")
-        object.__setattr__(self, "mean", max(0.0, float(self.mean)))
-        object.__setattr__(self, "variance", max(0.0, float(self.variance)))
+        for name, what in (("mean", "mean photon number"), ("variance", "photon-number variance")):
+            value = as_number(getattr(self, name), what, finite=False)
+            if not -_VAR_SLOP <= value < math.inf:
+                raise DomainError(f"{what} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, max(0.0, value))
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,14 @@ class QuadratureStats:
     variance: float
 
     def __post_init__(self):
-        if not -_VAR_SLOP <= self.variance < math.inf:
-            raise DomainError(f"quadrature variance must be finite and >= 0, got {self.variance}")
-        if not (math.isfinite(self.phi) and math.isfinite(self.mean)):
-            raise DomainError(f"quadrature angle and mean must be finite: {self.phi}, {self.mean}")
-        object.__setattr__(self, "variance", max(0.0, float(self.variance)))
+        variance = as_number(self.variance, "quadrature variance", finite=False)
+        if not -_VAR_SLOP <= variance < math.inf:
+            raise DomainError(f"quadrature variance must be finite and >= 0, got {variance}")
+        phi = as_number(self.phi, "quadrature angle", finite=False)
+        mean = as_number(self.mean, "quadrature mean", finite=False)
+        if not (-math.inf < phi < math.inf and -math.inf < mean < math.inf):
+            raise DomainError(f"quadrature angle and mean must be finite: {phi}, {mean}")
+        object.__setattr__(self, "variance", max(0.0, variance))
 
 
 def _raw_moments(g: WignerGrid) -> np.ndarray:
@@ -105,9 +107,9 @@ def moment_table(g) -> np.ndarray:
 def moments(w, m: int, n: int) -> complex:
     """Normally ordered moment <(a^dag)^m a^n>, m + n <= 4, read from
     :func:`moment_table`."""
-    integers = all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (m, n))
-    if not integers or m < 0 or n < 0 or m + n > MAX_MOMENT_ORDER:
-        raise ConfigurationError(f"moment orders need integer m, n >= 0, m + n <= 4: {m!r}, {n!r}")
+    what = f"moment orders m + n <= {MAX_MOMENT_ORDER}: "
+    m = as_index(m, what + "m", 0, MAX_MOMENT_ORDER)
+    n = as_index(n, what + "n", 0, MAX_MOMENT_ORDER - m)
     return complex(moment_table(w)[m, n])
 
 
@@ -121,7 +123,8 @@ def photon_statistics(w) -> PhotonStats:
 
 def quadrature_statistics(w, phi: float = 0.0) -> QuadratureStats:
     """QuadratureStats of X(phi) from first and second moments."""
-    if not math.isfinite(phi):  # no angle: checked before np.exp warns on it
+    # no angle: checked before np.exp warns on it
+    if not -math.inf < as_number(phi, "quadrature angle", finite=False) < math.inf:
         raise DomainError(f"quadrature variance is undefined at angle {phi}")
     t = moment_table(w)
     a1, a2, nbar = t[0, 1], t[0, 2], t[1, 1].real
@@ -139,10 +142,8 @@ def teleported_photon_stats(s_in, n_tau) -> PhotonStats:
     for a PhotonStats input or a Fock index m, which is PhotonStats(m, 0).
     """
     n = as_noise(n_tau)
-    if isinstance(s_in, (int, np.integer)) and not isinstance(s_in, bool):
-        s_in = PhotonStats(mean=int(s_in), variance=0.0)
-    if not isinstance(s_in, PhotonStats):
-        raise ConfigurationError(f"unsupported input for photon statistics: {type(s_in)!r}")
+    if not isinstance(s_in, PhotonStats):  # a Fock index; PhotonStats rejects a negative one
+        s_in = PhotonStats(mean=as_index(s_in, "Fock index", lo=None), variance=0.0)
     mean = s_in.mean + n
     var = s_in.variance + (2.0 * s_in.mean + 1.0) * n + n**2
     return PhotonStats(mean=mean, variance=var)
@@ -155,6 +156,7 @@ def sub_poisson_threshold(s: PhotonStats):
     (Poissonian and super-Poissonian inputs never survive).  The value
     never exceeds 1/2.
     """
+    as_kind(s, PhotonStats, "sub_poisson_threshold")
     radicand = s.mean**2 + s.mean - s.variance
     if radicand <= 0.0:
         return None
@@ -164,6 +166,7 @@ def sub_poisson_threshold(s: PhotonStats):
 
 def quadrature_transfer(q: QuadratureStats, n_tau) -> QuadratureStats:
     """Quadrature statistics after teleportation: mean kept, variance + 2 n_tau."""
+    as_kind(q, QuadratureStats, "quadrature_transfer")
     n = as_noise(n_tau)
     return QuadratureStats(phi=q.phi, mean=q.mean, variance=q.variance + 2.0 * n)
 
@@ -174,9 +177,7 @@ def squeezing_threshold(var_min: float):
     var_min is the input's minimum quadrature variance; the threshold is
     (1 - var_min)/2, None when the input is not squeezed.  Never exceeds 1/2.
     """
-    if math.isnan(var_min):
-        raise ConfigurationError("variance must be a number, got nan")
-    if var_min < 0:
+    if as_number(var_min, "variance") < 0:
         raise DomainError(f"variance must be >= 0, got {var_min}")
     thr = (1.0 - var_min) / 2.0
     return thr if thr > 0.0 else None
@@ -201,7 +202,7 @@ def p_negativity_probe(w_o: WignerGrid, n_tau, sigma: float = 0.9) -> float:
     P-nonclassicality down to the probed ordering.
     """
     as_grid(w_o, "p_negativity_probe", wigner=True)
-    if sigma > 1.0:
+    if as_number(sigma, "ordering parameter") > 1.0:
         raise DomainError(f"ordering parameter must be <= 1, got {sigma}")
     n = as_noise(n_tau)
     s = 2.0 * n - sigma

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import ConfigurationError
+from .errors import as_index
 
 MAX_QUADRATURE_ORDER = 200
 
@@ -27,12 +27,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     Nodes and weights come from the eigendecomposition of the Jacobi
     matrix, which is stable for every order accepted here.
     """
-    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
-    if not integer or not 1 <= order <= MAX_QUADRATURE_ORDER:
-        raise ConfigurationError(
-            f"quadrature order must be an integer in [1, {MAX_QUADRATURE_ORDER}], got {order!r}"
-        )
-    nodes, weights = hermgauss(int(order))
+    nodes, weights = hermgauss(as_index(order, "quadrature order", 1, MAX_QUADRATURE_ORDER))
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
@@ -47,5 +42,7 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
 def grid_integrate(g) -> float:
     """Trapezoidal integral ``w @ values @ w`` of a ``WignerGrid`` ``g``; reads
     its ``values``, ``resolution`` and ``dx``, not ``axes()``."""
+    from .phase_space import as_grid  # phase_space imports this module
+    as_grid(g, "grid_integrate")
     w = trapezoid_weights(g.resolution, g.dx)
     return float(w @ g.values @ w)

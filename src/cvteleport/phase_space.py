@@ -15,7 +15,6 @@ The phase-space measure is d^2 alpha = d(alpha_r) d(alpha_i).
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 from dataclasses import dataclass, replace
@@ -27,6 +26,9 @@ from .errors import (
     ConfigurationError,
     DomainError,
     UnsupportedDeconvolutionError,
+    as_index,
+    as_kind,
+    as_number,
 )
 from .numerics import trapezoid_weights
 
@@ -37,13 +39,9 @@ DEFAULT_RESOLUTION = 256
 def check_geometry(extent, resolution) -> None:
     """Raise ConfigurationError unless ``extent`` is finite and positive and
     ``resolution`` is an integer (not a bool) of at least 8."""
-    if not math.isfinite(extent):
-        raise ConfigurationError(f"grid extent must be finite, got {extent}")
-    if extent <= 0:
+    if as_number(extent, "grid extent") <= 0:
         raise ConfigurationError(f"grid extent must be positive, got {extent}")
-    integer = isinstance(resolution, (int, np.integer)) and not isinstance(resolution, bool)
-    if not integer or resolution < 8:
-        raise ConfigurationError(f"grid resolution must be an integer >= 8, got {resolution!r}")
+    as_index(resolution, "grid resolution", lo=8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,24 +80,19 @@ class WignerGrid:
     pure_origin: bool = False
 
     def __post_init__(self):
-        if not -1.0 <= self.sigma <= 1.0:
+        if not -1.0 <= as_number(self.sigma, "grid sigma") <= 1.0:
             raise ConfigurationError(f"sigma must lie in [-1, 1], got {self.sigma}")
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(as_number(self.values, "grid values"))
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ConfigurationError(f"grid values must be a square array, got shape {vals.shape}")
         check_geometry(self.extent, vals.shape[0])
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("grid values must be finite")
         object.__setattr__(self, "values", vals)
-        try:
-            env = tuple(map(float, self.envelope))
-        except (TypeError, ValueError):
-            env = ()
-        if len(env) != 4 or not all(map(math.isfinite, env)) or min(env[2:]) <= 0.0:
+        env = as_number(self.envelope, "grid envelope")
+        if np.shape(env) != (4,) or min(env[2:]) <= 0.0:
             raise ConfigurationError(
-                f"grid envelope must be finite (cx, cy, kx, ky) with kx, ky > 0, got {self.envelope!r}"
+                f"grid envelope must be (cx, cy, kx, ky) with kx, ky > 0, got {self.envelope!r}"
             )
-        object.__setattr__(self, "envelope", env)
+        object.__setattr__(self, "envelope", tuple(env.tolist()))
 
     @classmethod
     def from_profile(cls, profile, envelope, extent, resolution, pure=True) -> WignerGrid:
@@ -174,10 +167,7 @@ class WignerGrid:
         return cached
 
     def value_at(self, alpha: complex) -> float:
-        try:
-            a = complex(alpha)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"value_at takes a complex point, got {alpha!r}") from None
+        a = as_number(alpha, "value_at's complex point", complex, finite=False)
         if not (abs(a.real) <= self.extent and abs(a.imag) <= self.extent):
             raise DomainError(f"point {a} lies outside the grid extent {self.extent}")
         return float(self.sample(a.real, a.imag))
@@ -186,8 +176,7 @@ class WignerGrid:
 def as_grid(g, what: str, wigner: bool = False) -> WignerGrid:
     """``g`` itself when it is a WignerGrid, and a Wigner one (sigma = 0) when
     ``wigner`` is set; otherwise a ConfigurationError naming ``what``."""
-    if not isinstance(g, WignerGrid):
-        raise ConfigurationError(f"{what} takes a WignerGrid, got {type(g).__name__}")
+    as_kind(g, WignerGrid, what)
     if wigner and g.sigma != 0.0:
         raise ConfigurationError(f"{what} takes a Wigner grid (sigma = 0), got sigma = {g.sigma}")
     return g
@@ -195,7 +184,7 @@ def as_grid(g, what: str, wigner: bool = False) -> WignerGrid:
 
 def band_limit(g: WignerGrid) -> float:
     """Largest |xi| the trapezoid sum of exp(2i xi x) resolves: pi / (2 dx), its Nyquist limit."""
-    return np.pi / (2.0 * g.dx)
+    return np.pi / (2.0 * as_grid(g, "band_limit").dx)
 
 
 def _blur_matrix(ax: np.ndarray, std: float, scale: float, out: np.ndarray) -> np.ndarray:
@@ -254,9 +243,7 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
     exact, so every result that stays normal either way is unchanged; no
     product can overflow for any finite grid.
     """
-    if not math.isfinite(var):
-        raise ConfigurationError(f"smoothing variance must be finite, got {var}")
-    if var < 0.0:
+    if as_number(var, "smoothing variance") < 0.0:
         raise DomainError(f"smoothing variance must be >= 0, got {var}")
     std = np.sqrt(var)
     if 4.0 * std > g.extent:
@@ -302,6 +289,7 @@ def convert_sigma(g: WignerGrid, sigma_to: float) -> WignerGrid:
     higher label raises, since deconvolution of sampled data is ill-posed.
     """
     as_grid(g, "convert_sigma")
+    sigma_to = as_number(sigma_to, "convert_sigma's target sigma")
     if sigma_to > g.sigma:
         raise UnsupportedDeconvolutionError(
             f"cannot raise sigma from {g.sigma} to {sigma_to} on a sampled grid; "
@@ -316,10 +304,7 @@ def characteristic(g: WignerGrid, xi):
     Accepts a complex scalar or array ``xi``.  The grid is integrated by the
     trapezoid rule, and ``xi`` must stay inside the grid band limit.
     """
-    try:
-        xi_arr = np.asarray(xi, dtype=complex)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"characteristic takes complex xi, got {xi!r}") from None
+    xi_arr = np.asarray(as_number(xi, "characteristic's complex xi", complex, finite=False))
     as_grid(g, "characteristic")
     if not np.all(np.abs(xi_arr) <= band_limit(g)):
         raise AccuracyError(
@@ -371,6 +356,7 @@ def _write_text(path: str, chunks) -> None:
 def save_grid(g: WignerGrid, basepath: str):
     """Write ``<basepath>.csv`` (columns alpha_r, alpha_i, value) and a
     ``<basepath>.json`` header describing the geometry."""
+    as_grid(g, "save_grid")
     csv_path = f"{basepath}.csv"
     json_path = f"{basepath}.json"
     ax = [f"{a:.12g}" for a in g.axes().tolist()]

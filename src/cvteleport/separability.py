@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GaussianTwoMode
-from .errors import NotSeparableError
+from .errors import NotSeparableError, as_kind, as_number
 from .numerics import gauss_hermite
 
 RECONSTRUCT_ORDER = 30
@@ -32,6 +32,11 @@ class PExponentMatrix:
     n_cc: float
     n_bc: complex
 
+    def __post_init__(self):
+        as_number(self.n_bb, "n_bb")
+        as_number(self.n_cc, "n_cc")
+        as_number(self.n_bc, "n_bc", complex)
+
     @property
     def det(self) -> float:
         return self.n_bb * self.n_cc - abs(self.n_bc) ** 2
@@ -45,6 +50,10 @@ class SeparableDecomposition:
     m_c: float
     m_s: float
 
+    def __post_init__(self):
+        for name in ("m_b", "m_c", "m_s"):
+            as_number(getattr(self, name), name)
+
 
 def p_exponent_from_channel(g: GaussianTwoMode):
     """P-function exponent matrix of the channel state, mode c conjugated.
@@ -55,6 +64,7 @@ def p_exponent_from_channel(g: GaussianTwoMode):
     term into a Hermitian one.  The resulting Gaussian is normalizable iff
     n_minus - 1 and n_plus - 1 are both positive; otherwise returns None.
     """
+    as_kind(g, GaussianTwoMode, "p_exponent_from_channel")
     if min(g.n_minus, g.n_plus) <= 1.0:
         return None
     d = (g.n_minus - 1.0) * (g.n_plus - 1.0)
@@ -66,6 +76,7 @@ def p_exponent_from_channel(g: GaussianTwoMode):
 
 def check_criterion(n: PExponentMatrix) -> bool:
     """True iff N represents a normalizable (separable-ready) P function."""
+    as_kind(n, PExponentMatrix, "check_criterion")
     return n.n_bb > 0.0 and n.n_cc > 0.0 and n.det > 0.0
 
 
@@ -76,6 +87,7 @@ def decompose(n: PExponentMatrix) -> SeparableDecomposition:
     construction guarantees m_s + |n_bc|^2/m_b + 1/m_c = 1, which is what
     makes the beta integral reproduce P exactly.
     """
+    as_kind(n, PExponentMatrix, "decompose")
     if not check_criterion(n):
         raise NotSeparableError("exponent matrix fails the positivity criterion")
     m_b = n.n_bb + abs(n.n_bc) ** 2
@@ -86,6 +98,9 @@ def decompose(n: PExponentMatrix) -> SeparableDecomposition:
 
 def p_value(n: PExponentMatrix, a_b: complex, a_c: complex) -> float:
     """Direct Gaussian P function (det N / pi^2) exp(-a^dag N a)."""
+    as_kind(n, PExponentMatrix, "p_value")
+    as_number(a_b, "p_value's point a_b", complex)
+    as_number(a_c, "p_value's point a_c", complex)
     quad = (
         n.n_bb * abs(a_b) ** 2
         + n.n_cc * abs(a_c) ** 2
@@ -123,6 +138,10 @@ def reconstruct_p(
     Gauss-Hermite over both components of beta after completing the square
     of the combined exponent; must match :func:`p_value`.
     """
+    as_kind(d, SeparableDecomposition, "reconstruct_p")
+    as_kind(n, PExponentMatrix, "reconstruct_p")
+    as_number(a_b, "reconstruct_p's point a_b", complex)
+    as_number(a_c, "reconstruct_p's point a_c", complex)
     a_tot = d.m_s + abs(n.n_bc) ** 2 / d.m_b + 1.0 / d.m_c
     b_lin = np.conj(n.n_bc) * a_b - a_c  # coefficient of conj(beta)
     rule = _RECONSTRUCT_RULE
@@ -146,4 +165,5 @@ def is_boundary_case(g: GaussianTwoMode) -> bool:
     """True when the noise factor lies within 1e-9 of the separability
     boundary, where the strict criterion and the closed-form verdict
     (n_tau >= 1) disagree."""
+    as_kind(g, GaussianTwoMode, "is_boundary_case")
     return abs(g.n_minus - 1.0) <= 1e-9

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import as_noise
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_index, as_number
 from .phase_space import DEFAULT_EXTENT, DEFAULT_RESOLUTION, WignerGrid
 
 MAX_FOCK = 50
@@ -58,9 +58,7 @@ def teleported_fock_wigner(
     homogeneous of degree i, so it runs on (u/v, z/v) and no power of v is
     formed.  At n_tau = 0 the h_i are even Hermite polynomials.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or not 0 <= m <= MAX_FOCK:
-        raise ConfigurationError(f"number-state index must be an integer in [0, {MAX_FOCK}]")
-    m = int(m)
+    m = as_index(m, "number-state index", 0, MAX_FOCK)
     n = as_noise(n_tau)
     v = 2.0 * n + 1.0
     u = (2.0 * n - 1.0) / v
@@ -101,11 +99,13 @@ def teleported_squeezed_wigner(
 
     The extent must hold (6 / e^1.5) times the widest axis sqrt(2 / min(kx, ky)).
     """
+    s_o = as_number(s_o, "squeezing s_o")
     n = as_noise(n_tau)
     # sqrt(2 / min(kx, ky)), written so that it is exactly e^|s_o| at n_tau = 0;
     # it comes before e^{+-2 s_o}, which overflows for squeezings the guard rejects
-    width = np.exp(abs(s_o)) * np.sqrt(1.0 + 2.0 * n * np.exp(-2.0 * abs(s_o)))
-    if not extent >= 6.0 * width / np.exp(1.5):
+    with np.errstate(over="ignore"):  # past |s_o| = 709.78 the width is inf, which the guard rejects
+        width = np.exp(abs(s_o)) * np.sqrt(1.0 + 2.0 * n * np.exp(-2.0 * abs(s_o)))
+    if not as_number(extent, "grid extent") >= 6.0 * width / np.exp(1.5):
         raise ConfigurationError(
             f"extent {extent} too small for squeezing {s_o} at noise {n}; grow it as e^|s_o|"
         )
@@ -145,8 +145,8 @@ def coherent_wigner(
     mu: complex, extent: float = DEFAULT_EXTENT, resolution: int = DEFAULT_RESOLUTION
 ) -> WignerGrid:
     """Wigner function of the coherent state centered at mu."""
-    mu = complex(mu)
-    if abs(mu) + 3.0 > extent:
+    mu = as_number(mu, "coherent amplitude mu", complex)
+    if abs(mu) + 3.0 > as_number(extent, "grid extent"):
         raise ConfigurationError(
             f"coherent amplitude {mu} needs extent >= |mu| + 3, got {extent}"
         )

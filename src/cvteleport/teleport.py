@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import GaussianTwoMode, as_noise
-from .errors import AccuracyError, ConfigurationError
+from .errors import AccuracyError, as_kind, as_number
 from .numerics import gauss_hermite
 from .phase_space import WignerGrid, as_grid, check_geometry, smooth
 
@@ -105,6 +105,7 @@ def protocol_oracle(
     else :class:`AccuracyError`.
     """
     as_grid(w_o, "protocol_oracle", wigner=True)
+    as_kind(ch, GaussianTwoMode, "protocol_oracle")
     resolution = w_o.resolution if resolution is None else resolution
     check_geometry(w_o.extent, resolution)
     rule = gauss_hermite(order)
@@ -134,11 +135,11 @@ def measurement_density(
     state above m = 39 raises :class:`AccuracyError`.
     """
     as_grid(w_o, "measurement_density", wigner=True)
+    as_kind(ch, GaussianTwoMode, "measurement_density")
+    what = "measurement_density takes finite readout points: "
     di, er = np.broadcast_arrays(
-        np.asarray(alpha_d_i, dtype=float), np.asarray(alpha_e_r, dtype=float)
+        as_number(alpha_d_i, what + "alpha_d_i"), as_number(alpha_e_r, what + "alpha_e_r")
     )
-    if not (np.isfinite(di).all() and np.isfinite(er).all()):
-        raise ConfigurationError("measurement_density takes finite readout points")
     shape, di, er = di.shape, di.ravel(), er.ravel()
     # the unread quadratures sum to sum_c each; in the input's coordinates
     # x = (d - e_r)/sqrt2, y = (d_i - e)/sqrt2 the splitter mode's exp(-c (d + e_r)^2),

@@ -129,6 +129,15 @@ def test_squeezed_vacuum_extent_guard():
     for s_o in (400.0, float("inf"), float("nan")):  # rejected before e^{2 s_o} overflows
         with pytest.raises(ConfigurationError):
             squeezed_vacuum_wigner(s_o)
+    # a finite squeezing too wide for the grid blames the extent, even where
+    # its width e^|s_o| overflows; one that is no finite number names itself
+    for s_o in (400.0, 800.0, -800.0):
+        with pytest.raises(ConfigurationError, match="too small for squeezing .*; grow it"):
+            squeezed_vacuum_wigner(s_o)
+    for s_o in (float("nan"), float("inf"), "x"):
+        with pytest.raises(ConfigurationError, match="squeezing s_o must be") as err:
+            squeezed_vacuum_wigner(s_o)
+        assert "grow it" not in str(err.value)
 
 
 def test_coherent_wigner():
