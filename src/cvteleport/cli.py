@@ -87,25 +87,25 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
 
 
 def _parse_state(text: str, extent: float, resolution: int):
-    """Selector -> (label, WignerGrid).  vacuum | fock:m | squeezed:s | coherent:re,im"""
+    """(kind, None | m | s_o | mu, WignerGrid) of vacuum | fock:m | squeezed:s_o | coherent:re,im"""
     kind, _, arg = text.partition(":")
     if kind == "vacuum" and not arg:
-        return text, vacuum_wigner(extent=extent, resolution=resolution)
+        return kind, None, vacuum_wigner(extent=extent, resolution=resolution)
     if kind == "fock":
         try:
             m = int(arg)
         except ValueError:
             raise ConfigurationError(f"fock selector expects an integer index, got {arg!r}")
-        return text, fock_wigner(m, extent=extent, resolution=resolution)
+        return kind, m, fock_wigner(m, extent=extent, resolution=resolution)
     if kind == "squeezed":
         s_o = _parse_float(arg, "--state squeezed")
-        return text, squeezed_vacuum_wigner(s_o, extent=extent, resolution=resolution)
+        return kind, s_o, squeezed_vacuum_wigner(s_o, extent=extent, resolution=resolution)
     if kind == "coherent":
         re_s, sep, im_s = arg.partition(",")
         if not sep:
             raise ConfigurationError("coherent selector expects RE,IM")
         mu = complex(_parse_float(re_s, "--state coherent"), _parse_float(im_s, "--state coherent"))
-        return text, coherent_wigner(mu, extent=extent, resolution=resolution)
+        return kind, mu, coherent_wigner(mu, extent=extent, resolution=resolution)
     raise ConfigurationError(f"unknown state selector {text!r}")
 
 
@@ -151,7 +151,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args, command, columns, rows):
+def _emit_table(args, command, columns, rows, **extra):
     fmt = args.format or "csv"
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"--format must be csv or json, got {fmt!r}")
@@ -165,9 +165,8 @@ def _emit_table(args, command, columns, rows):
                 {col: (v if isinstance(v, bool) else _round12(v)) for col, v in zip(columns, row)}
                 for row in rows
             ],
+            **extra,
         }
-        if command == "fidelity-table":
-            payload["state"] = args.state
         text = json.dumps(payload, indent=2) + "\n"
     _emit(args, text)
 
@@ -192,6 +191,13 @@ def _channel_points(args):
         yield ChannelParams(s_qc=float(s_qc), n_bar=float(n_bar), T=float(T))
 
 
+def _noise_points(args):
+    """(n_tau, ChannelParams or None) per --ntau value, or else per channel lattice point."""
+    if args.ntau:
+        return ((float(n_tau), None) for n_tau in _parse_range(args.ntau, "--ntau"))
+    return ((noise_factor(p).value, p) for p in _channel_points(args))
+
+
 def cmd_noise_sweep(args) -> int:
     rows = [
         (
@@ -212,23 +218,16 @@ def cmd_noise_sweep(args) -> int:
 def cmd_fidelity_table(args) -> int:
     if not args.state:
         raise ConfigurationError("--state is required (fock:m or squeezed:s_o)")
-    kind, _, arg = args.state.partition(":")
-    if kind not in ("fock", "squeezed"):
+    if args.state.partition(":")[0] not in ("fock", "squeezed"):
         raise ConfigurationError(
             f"fidelity table supports fock:m and squeezed:s_o, got {args.state!r}"
         )
     extent, res = _grid_settings(args)
-    if args.ntau:
-        n_values = [float(v) for v in _parse_range(args.ntau, "--ntau")]
-    else:
-        n_values = [noise_factor(p).value for p in _channel_points(args)]
-    _, w_in = _parse_state(args.state, extent, res)
+    points = list(_noise_points(args))
+    kind, param, w_in = _parse_state(args.state, extent, res)
     rows = []
-    for n_tau in n_values:
-        if kind == "fock":
-            f_closed = fock_fidelity(int(arg), n_tau).value
-        else:
-            f_closed = squeezed_fidelity(float(arg), n_tau).value
+    for n_tau, _ in points:
+        f_closed = (fock_fidelity if kind == "fock" else squeezed_fidelity)(param, n_tau).value
         f_grid = overlap_fidelity(w_in, teleport_state(w_in, n_tau)).value
         delta = abs(f_closed - f_grid)
         if delta > GRID_TOLERANCE:
@@ -237,7 +236,7 @@ def cmd_fidelity_table(args) -> int:
                 f" (tolerance {GRID_TOLERANCE})"
             )
         rows.append((n_tau, f_closed, f_grid, delta))
-    _emit_table(args, "fidelity-table", TABLE_COLUMNS, rows)
+    _emit_table(args, "fidelity-table", TABLE_COLUMNS, rows, state=args.state)
     return 0
 
 
@@ -278,22 +277,13 @@ def cmd_verify(args) -> int:
 
 def cmd_teleport_export(args) -> int:
     extent, res = _grid_settings(args)
-    channel = None
-    if args.ntau is not None:
-        n_tau = _parse_float(args.ntau, "--ntau")
-    else:
-        if args.squeezing is None or args.nbar is None or args.time is None:
-            raise ConfigurationError(
-                "teleport-export needs --ntau or all of --squeezing/--nbar/--time"
-            )
-        p = ChannelParams(
-            s_qc=_parse_float(args.squeezing, "--squeezing"),
-            n_bar=_parse_float(args.nbar, "--nbar"),
-            T=_parse_float(args.time, "--time"),
-        )
-        channel = {"s_qc": p.s_qc, "n_bar": p.n_bar, "T": p.T}
-        n_tau = noise_factor(p).value
-    label, w_in = _parse_state(args.state or "vacuum", extent, res)
+    if not (args.ntau or (args.squeezing and args.nbar and args.time)):
+        raise ConfigurationError("teleport-export needs --ntau or all of --squeezing/--nbar/--time")
+    (n_tau, p), *more = itertools.islice(_noise_points(args), 2)  # a lattice may be vast
+    if more:
+        raise ConfigurationError("teleport-export takes one noise point, not a range of them")
+    label = args.state or "vacuum"
+    _, _, w_in = _parse_state(label, extent, res)
     w_out = teleport_state(w_in, n_tau)
     # every number comes before the first file, and report.json comes last
     stats = photon_statistics(w_out)
@@ -317,7 +307,7 @@ def cmd_teleport_export(args) -> int:
         "command": "teleport-export",
         "state": label,
         "n_tau": _round12(n_tau),
-        "channel": channel,
+        "channel": None if p is None else vars(p),
         "files": {"input": list(in_files), "teleported": list(out_files)},
         "teleported_moments": {
             "mean_photon": _round12(stats.mean),

@@ -35,22 +35,31 @@ _NUMBERS = (int, float, complex, np.number)
 
 
 def as_number(x, what: str, dtype=float, finite: bool = True):
-    """``x`` as a Python ``dtype`` (float or complex) if it is a scalar, else as an
-    ndarray of it.  Ints, floats and, for ``dtype=complex``, complex values
-    are numbers; a bool, None, text or any other object raises
-    ConfigurationError naming ``what``, as does a NaN or infinite entry when
-    ``finite`` is set.  A scalar never passes through ``np.asarray``."""
+    """``x`` as a Python ``dtype`` (float or complex) if it is an int, a float or,
+    for complex, a complex value; a bool, None, text, an array or any other
+    object, or a NaN or infinity with ``finite`` set, raises ConfigurationError."""
     try:
-        if isinstance(x, _REALS if dtype is float else _NUMBERS) and not isinstance(x, bool):
-            v = dtype(x)
-        else:
-            v = np.asarray(x)
-            if v.dtype.kind not in "iuf" + "c" * (dtype is complex):  # bools, text, objects
-                raise TypeError
-            v = v.astype(dtype, copy=False)
-    except (TypeError, ValueError, OverflowError):  # ragged nesting, or an int past the float range
+        if not isinstance(x, _REALS if dtype is float else _NUMBERS) or isinstance(x, bool):
+            raise TypeError
+        v = dtype(x)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
         raise ConfigurationError(f"{what} must be a number, got {x!r}") from None
-    if finite and not (np.isfinite(v).all() if isinstance(v, np.ndarray) else cmath.isfinite(v)):
+    if finite and not cmath.isfinite(v):
+        raise ConfigurationError(f"{what} must be finite, got {x!r}")
+    return v
+
+
+def as_array(x, what: str, dtype=float, finite: bool = True) -> np.ndarray:
+    """``x`` (a number or anything array-like) as an ndarray of ``dtype``, under
+    the rule of :func:`as_number` for each entry."""
+    try:
+        v = np.asarray(x)
+        if v.dtype.kind not in "iuf" + "c" * (dtype is complex):  # bools, text, objects
+            raise TypeError
+        v = v.astype(dtype, copy=False)
+    except (TypeError, ValueError):  # ragged nesting
+        raise ConfigurationError(f"{what} must be a number, got {x!r}") from None
+    if finite and not np.isfinite(v).all():
         raise ConfigurationError(f"{what} must be finite, got {x!r}")
     return v
 

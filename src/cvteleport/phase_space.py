@@ -26,6 +26,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     UnsupportedDeconvolutionError,
+    as_array,
     as_index,
     as_kind,
     as_number,
@@ -82,12 +83,12 @@ class WignerGrid:
     def __post_init__(self):
         if not -1.0 <= as_number(self.sigma, "grid sigma") <= 1.0:
             raise ConfigurationError(f"sigma must lie in [-1, 1], got {self.sigma}")
-        vals = np.asarray(as_number(self.values, "grid values"))
+        vals = as_array(self.values, "grid values")
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ConfigurationError(f"grid values must be a square array, got shape {vals.shape}")
         check_geometry(self.extent, vals.shape[0])
         object.__setattr__(self, "values", vals)
-        env = as_number(self.envelope, "grid envelope")
+        env = as_array(self.envelope, "grid envelope")
         if np.shape(env) != (4,) or min(env[2:]) <= 0.0:
             raise ConfigurationError(
                 f"grid envelope must be (cx, cy, kx, ky) with kx, ky > 0, got {self.envelope!r}"
@@ -304,7 +305,7 @@ def characteristic(g: WignerGrid, xi):
     Accepts a complex scalar or array ``xi``.  The grid is integrated by the
     trapezoid rule, and ``xi`` must stay inside the grid band limit.
     """
-    xi_arr = np.asarray(as_number(xi, "characteristic's complex xi", complex, finite=False))
+    xi_arr = as_array(xi, "characteristic's complex xi", complex, finite=False)
     as_grid(g, "characteristic")
     if not np.all(np.abs(xi_arr) <= band_limit(g)):
         raise AccuracyError(
@@ -381,14 +382,14 @@ def load_grid(basepath: str) -> WignerGrid:
     try:
         with open(f"{basepath}.json") as fh:
             header = json.load(fh)
-        sigma, extent = float(header["sigma"]), float(header["extent"])
-        res = int(header["resolution"])
+        sigma, extent = (as_number(header[k], f"grid header {k}") for k in ("sigma", "extent"))
+        res = as_index(header["resolution"], "grid header resolution", lo=8)
         data = np.loadtxt(f"{basepath}.csv", delimiter=",", skiprows=1)
     except KeyError as exc:
         raise ConfigurationError(f"grid header is missing {exc}") from None
     except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed grid {basepath}: {exc}") from None
-    if res < 1 or data.shape != (res * res, 3):
+    if data.shape != (res * res, 3):
         raise ConfigurationError(
             f"grid data shape {data.shape} does not match header resolution {res}"
         )

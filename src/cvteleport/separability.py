@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import GaussianTwoMode
 from .errors import NotSeparableError, as_kind, as_number
-from .numerics import gauss_hermite
+from .numerics import _centred_nodes, gauss_hermite
 
 RECONSTRUCT_ORDER = 30
 _RECONSTRUCT_RULE = gauss_hermite(RECONSTRUCT_ORDER)
@@ -135,8 +135,8 @@ def reconstruct_p(
 ) -> float:
     """P(a_b, a_c) rebuilt as Int d2beta weight(beta) P_b(a_b;beta) P_c(a_c;beta).
 
-    Gauss-Hermite over both components of beta after completing the square
-    of the combined exponent; must match :func:`p_value`.
+    Gauss-Hermite over both components of beta, with the nodes centred on
+    the combined exponent; must match :func:`p_value`.
     """
     as_kind(d, SeparableDecomposition, "reconstruct_p")
     as_kind(n, PExponentMatrix, "reconstruct_p")
@@ -144,15 +144,12 @@ def reconstruct_p(
     as_number(a_c, "reconstruct_p's point a_c", complex)
     a_tot = d.m_s + abs(n.n_bc) ** 2 / d.m_b + 1.0 / d.m_c
     b_lin = np.conj(n.n_bc) * a_b - a_c  # coefficient of conj(beta)
-    rule = _RECONSTRUCT_RULE
-    ctr_r, ctr_i = b_lin.real / a_tot, b_lin.imag / a_tot
-    br = ctr_r + rule.nodes / np.sqrt(a_tot)
-    bi = ctr_i + rule.nodes / np.sqrt(a_tot)
+    # the nodes of Re and Im beta sit under exp(-a_tot |beta - b_lin / a_tot|^2)
+    centre = np.array([b_lin.real, b_lin.imag]) / a_tot
+    (br, bi), (wr, wi) = _centred_nodes(_RECONSTRUCT_RULE, 0.0, np.zeros(2), a_tot, centre)
     beta = br[:, None] + 1j * bi[None, :]
     integrand = _weight(d, beta) * _factor_b(n, d, a_b, beta) * _factor_c(n, d, a_c, beta)
-    comp = np.exp(a_tot * ((br - ctr_r) ** 2)[:, None] + a_tot * ((bi - ctr_i) ** 2)[None, :])
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    return float(np.sum(w2 * integrand * comp) / a_tot)
+    return float(wr @ integrand @ wi)
 
 
 def channel_is_separable_via_appendix(g: GaussianTwoMode) -> bool:

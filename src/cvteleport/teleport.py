@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import GaussianTwoMode, as_noise
-from .errors import AccuracyError, as_kind, as_number
-from .numerics import gauss_hermite
+from .errors import AccuracyError, as_array, as_kind
+from .numerics import _centred_nodes, gauss_hermite
 from .phase_space import WignerGrid, as_grid, check_geometry, smooth
 
 ORACLE_ORDER = 40
@@ -40,17 +40,6 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
     """
     n = as_noise(n_tau)
     return smooth(as_grid(w_o, "teleport_state", wigner=True), n / 2.0)
-
-
-def _centred_nodes(rule, a, p, b, c):
-    """Gauss-Hermite nodes and weights for Int exp(-a (t-p)^2) f(t) dt, one row
-    per entry of p: the nodes sit under that Gaussian times the input envelope
-    exp(-b (t-c)^2), and the weights carry the known Gaussian."""
-    rho = a + b
-    m = (a * p + b * c) / rho
-    t = m[:, None] + rule.nodes[None, :] / np.sqrt(rho)  # (len(p), q)
-    res = np.exp(rho * (t - m[:, None]) ** 2 - a * (t - p[:, None]) ** 2)
-    return t, rule.weights[None, :] * res / np.sqrt(rho)
 
 
 def _factor_sums(w_o: WignerGrid, rule, a, px, py):
@@ -138,7 +127,7 @@ def measurement_density(
     as_kind(ch, GaussianTwoMode, "measurement_density")
     what = "measurement_density takes finite readout points: "
     di, er = np.broadcast_arrays(
-        as_number(alpha_d_i, what + "alpha_d_i"), as_number(alpha_e_r, what + "alpha_e_r")
+        as_array(alpha_d_i, what + "alpha_d_i"), as_array(alpha_e_r, what + "alpha_e_r")
     )
     shape, di, er = di.shape, di.ravel(), er.ravel()
     # the unread quadratures sum to sum_c each; in the input's coordinates

@@ -3,13 +3,17 @@
 Each test delegates to the corresponding runner in cvteleport.verify, which
 encodes the required tolerance; the runner's detail string is surfaced on
 failure.  The same runners back the ``cvteleport verify`` CLI command.
-The README's library quick start runs here too, so it cannot drift from
-the code.
+The README's library quick start and its deterministic CLI examples run
+here too, so they cannot drift from the code.
 """
 
 import pathlib
+import shlex
+
+import pytest
 
 from cvteleport import verify
+from cvteleport.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -66,3 +70,20 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     printed = capsys.readouterr().out
     assert "PhotonStats(mean=1.88" in printed
+
+
+@pytest.mark.parametrize("command", ["noise-sweep", "fidelity-table"])
+def test_readme_cli_examples_print_what_they_show(capsys, command):
+    # every cell as shown, except abs_delta, a rounding residue: below 1e-12 in both
+    text = README.read_text()
+    start = text.index(f"$ cvteleport {command} ")
+    call, *shown = text[start:text.index("```", start)].splitlines()
+    assert main(shlex.split(call)[2:]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(shown) and printed[0] == shown[0]
+    for want, got in zip(shown[1:], printed[1:]):
+        for column, a, b in zip(shown[0].split(","), want.split(","), got.split(",")):
+            if column == "abs_delta":
+                assert float(a) < 1e-12 and float(b) < 1e-12, (want, got)
+            else:
+                assert a == b, (column, want, got)

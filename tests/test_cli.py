@@ -146,6 +146,9 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         (["noise-sweep", "--time", "0:1:2.5"], "steps must be an integer"),
         (["noise-sweep", "--format", "yaml"], "--format must be csv or json"),
         (["fidelity-table", "--ntau", "0.3"], "--state is required"),
+        (["teleport-export", "--ntau", "0:1:3", "--out", str(tmp_path / "out")], "one noise point"),
+        (["teleport-export", "--squeezing", "0:1:2", "--nbar", "0", "--time", "0",
+          "--out", str(tmp_path / "out")], "one noise point"),
     ):
         code, out, err = _run(capsys, argv)
         assert code == 1, argv
@@ -309,6 +312,26 @@ def test_teleport_export(capsys, tmp_path):
     jsonschema.validate(report, _schema("teleport_report"))
     assert report["state"] == "coherent:1,0.5"
     assert report["channel"] is None
+
+
+def test_teleport_export_takes_one_noise_point(capsys, tmp_path):
+    # a one-point range is one point; an empty --ntau is unset, as in fidelity-table
+    argv = ["teleport-export", "--state", "vacuum", "--grid-res", "32", "--out"]
+    code, _, _ = _run(capsys, argv + [str(tmp_path / "a"), "--ntau", "0.4:0.9:1"])
+    assert code == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["n_tau"] == 0.4 and report["channel"] is None
+    code, _, _ = _run(
+        capsys,
+        argv + [str(tmp_path / "b"), "--ntau", "", "--squeezing", "1:2:1", "--nbar", "0.5",
+                "--time", "0.1"],
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert report["channel"] == {"s_qc": 1.0, "n_bar": 0.5, "T": 0.1}
+    code, _, err = _run(capsys, argv + [str(tmp_path / "c"), "--ntau", ""])
+    assert code == 1
+    assert "needs --ntau or all of --squeezing/--nbar/--time" in err
 
 
 def test_teleport_export_positive_regime(capsys, tmp_path):

@@ -1,8 +1,8 @@
 """Source hygiene: every imported name is used, every module-level
 private name in ``src/`` is referenced there, ``src/`` integrates grids
 only through ``numerics.trapezoid_weights``, and it tests numbers only
-through ``errors.as_number`` and ``errors.as_index`` (no linter is
-installed)."""
+through ``errors.as_number``, ``errors.as_array`` and ``errors.as_index``
+(no linter is installed)."""
 
 import ast
 import pathlib

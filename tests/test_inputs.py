@@ -186,3 +186,28 @@ def test_numpy_numbers_are_accepted(name, i):
             assert np.array_equal(got.nodes, want.nodes)
         else:
             assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+# the positions that take an array of numbers as well as one number
+_TAKES_ARRAYS = {("characteristic", 1), ("measurement_density", 2), ("measurement_density", 3)}
+_SCALAR_POSITIONS = [
+    (name, i) for name, i in _NUMBER_POSITIONS
+    if np.isscalar(TABLE[name][0][i]) and (name, i) not in _TAKES_ARRAYS
+]
+
+
+@pytest.mark.parametrize("name, i", _SCALAR_POSITIONS, ids=[f"{n}-{i}" for n, i in _SCALAR_POSITIONS])
+def test_array_at_a_scalar_position_raises_a_cvt_error(name, i):
+    args, _ = TABLE[name]
+    for bad in ([0.5, 1.0], np.array([0.5, 1.0])):
+        with pytest.raises(CvtError):
+            _call(name, args, i, bad)
+
+
+@pytest.mark.parametrize("name, i", sorted(_TAKES_ARRAYS), ids=[f"{n}-{i}" for n, i in sorted(_TAKES_ARRAYS)])
+def test_array_positions_take_arrays(name, i):
+    args, _ = TABLE[name]
+    for points in ([0.5, 1.0], np.array([0.5, 1.0])):
+        got = _call(name, args, i, points)
+        assert np.shape(got) == (2,)
+        assert [_call(name, args, i, p) for p in points] == list(got)

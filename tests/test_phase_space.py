@@ -330,6 +330,24 @@ def test_load_grid_rejects_bad_header(tmp_path):
             load_grid(base)
 
 
+def test_load_grid_header_follows_the_number_rule(tmp_path):
+    # a bool is no number, text is no number, and a side is an integer
+    base = str(tmp_path / "grid")
+    save_grid(vacuum_wigner(resolution=16), base)
+    for header, what in (
+        ('{"sigma": true, "extent": 6.0, "resolution": 16}', "grid header sigma"),
+        ('{"sigma": "0", "extent": 6.0, "resolution": 16}', "grid header sigma"),
+        ('{"sigma": 0.0, "extent": "6", "resolution": 16}', "grid header extent"),
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": 16.9}', "grid header resolution"),
+        ('{"sigma": 0.0, "extent": 6.0, "resolution": true}', "grid header resolution"),
+    ):
+        (tmp_path / "grid.json").write_text(header + "\n")
+        with pytest.raises(ConfigurationError, match=what):
+            load_grid(base)
+    (tmp_path / "grid.json").write_text('{"sigma": 0, "extent": 6, "resolution": 16}\n')
+    assert load_grid(base).sigma == 0.0
+
+
 def test_save_grid_writes_csv_writer_bytes(tmp_path):
     values = np.linspace(-1.0, 1.0, 256).reshape(16, 16)
     values[3, :5] = (-0.0, 5e-324, 1e-300, 1e20, 1.0 / 3.0)
