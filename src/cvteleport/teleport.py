@@ -33,10 +33,11 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
     """Teleport a Wigner grid: convolve with the noise kernel P_tau, an
     isotropic Gaussian of per-axis variance n_tau / 2.
 
-    The convolution runs as two separable 1D Gaussian passes with
-    lattice-normalized, edge-clamped kernels whose rows sum to 1, so the
-    n_tau -> 0 limit returns the input and the kernel's reach beyond the
-    grid does not bend the output near the edges.
+    It is ``phase_space.smooth``: a lattice-normalized, edge-clamped kernel
+    K whose rows sum to 1, so the n_tau -> 0 limit returns the input and
+    the kernel's reach beyond the grid does not bend the output near the
+    edges.  A constructor's grid is smoothed on its axis-sampled factors as
+    ``(K u_x) @ core @ (K u_y).T``, any other as ``K @ values @ K.T``.
     """
     n = as_noise(n_tau)
     return smooth(as_grid(w_o, "teleport_state", wigner=True), n / 2.0)
