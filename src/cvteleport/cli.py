@@ -38,6 +38,7 @@ TABLE_COLUMNS = ("n_tau", "f_closed", "f_grid", "abs_delta")
 GRID_TOLERANCE = 1e-4
 MAX_RESOLUTION = 2048
 MAX_STEPS = 1000
+MAX_POINTS = 100_000  # in one --squeezing x --nbar x --time lattice
 
 
 def _fmt(x) -> str:
@@ -183,10 +184,16 @@ def _grid_settings(args):
 
 
 def _channel_points(args):
-    """ChannelParams over the --squeezing x --nbar x --time lattice; each defaults to 0."""
+    """ChannelParams over the --squeezing x --nbar x --time lattice; each defaults to 0,
+    and a lattice of more than MAX_POINTS points raises before the first."""
     s_values = _parse_range(args.squeezing or "0", "--squeezing")
     n_values = _parse_range(args.nbar or "0", "--nbar")
     t_values = _parse_range(args.time or "0", "--time")
+    points = len(s_values) * len(n_values) * len(t_values)
+    if points > MAX_POINTS:
+        raise ConfigurationError(
+            f"the --squeezing x --nbar x --time lattice has {points} points, at most {MAX_POINTS}"
+        )
     for s_qc, n_bar, T in itertools.product(s_values, n_values, t_values):
         yield ChannelParams(s_qc=float(s_qc), n_bar=float(n_bar), T=float(T))
 

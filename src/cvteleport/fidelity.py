@@ -18,8 +18,7 @@ import numpy as np
 
 from .channel import as_noise
 from .errors import ConfigurationError, DomainError, as_index, as_number
-from .numerics import trapezoid_weights
-from .phase_space import WignerGrid, as_grid
+from .phase_space import WignerGrid, _contract, as_grid
 
 _RESCALE = 2.0**300
 
@@ -52,8 +51,7 @@ def overlap_fidelity(w_o: WignerGrid, w_r: WignerGrid) -> FidelityReport:
         )
     if not w_o.pure_origin:
         raise ConfigurationError("the reference state must be pure for overlap fidelity")
-    w = trapezoid_weights(w_o.resolution, w_o.dx)
-    return FidelityReport(value=np.pi * (w @ (w_o.values * w_r.values) @ w))
+    return FidelityReport(value=np.pi * _contract(w_o, values=w_o.values * w_r.values))
 
 
 def fock_fidelity(m: int, n_tau) -> FidelityReport:

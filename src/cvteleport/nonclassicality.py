@@ -18,8 +18,7 @@ import numpy as np
 
 from .channel import as_noise
 from .errors import DomainError, UnsupportedDeconvolutionError, as_index, as_kind, as_number
-from .numerics import trapezoid_weights
-from .phase_space import WignerGrid, as_grid, smooth
+from .phase_space import WignerGrid, _contract, as_grid, smooth
 
 _VAR_SLOP = 1e-6
 MAX_MOMENT_ORDER = 4
@@ -64,12 +63,9 @@ class QuadratureStats:
 
 def _raw_moments(g: WignerGrid) -> np.ndarray:
     """raw[p, q] = Int x^p y^q R(x + iy) dx dy for p, q <= MAX_MOMENT_ORDER,
-    by the trapezoid rule as one product V R V^T with V[p, i] = x_i^p w_i.
-    """
+    by the trapezoid rule as one product V R V^T with V[p, i] = x_i^p w_i."""
     as_grid(g, "moment_table")
-    powers = g.axes() ** np.arange(MAX_MOMENT_ORDER + 1)[:, None]
-    v = powers * trapezoid_weights(g.resolution, g.dx)
-    return v @ g.values @ v.T
+    return _contract(g, g.axes() ** np.arange(MAX_MOMENT_ORDER + 1)[:, None])
 
 
 def moment_table(g) -> np.ndarray:

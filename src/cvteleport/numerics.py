@@ -1,5 +1,5 @@
 """Shared numerical kernels: Gauss-Hermite rules and the trapezoid
-weights behind every grid integral."""
+weights that ``phase_space._contract``, the one grid integral, folds in."""
 
 from __future__ import annotations
 
@@ -51,9 +51,7 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
 
 
 def grid_integrate(g) -> float:
-    """Trapezoidal integral ``w @ values @ w`` of a ``WignerGrid`` ``g``; reads
-    its ``values``, ``resolution`` and ``dx``, not ``axes()``."""
-    from .phase_space import as_grid  # phase_space imports this module
-    as_grid(g, "grid_integrate")
-    w = trapezoid_weights(g.resolution, g.dx)
-    return float(w @ g.values @ w)
+    """Trapezoidal integral ``w @ values @ w`` of a ``WignerGrid`` ``g``, by
+    ``phase_space._contract``; reads its ``values``, ``resolution`` and ``dx``."""
+    from .phase_space import _contract, as_grid  # phase_space imports this module
+    return float(_contract(as_grid(g, "grid_integrate")))

@@ -57,7 +57,8 @@ class WignerGrid:
         Half-width of the square grid.
     values : ndarray
         Square array; ``values[i, j]`` is the distribution at
-        ``alpha = axes()[i] + 1j*axes()[j]``.
+        ``alpha = axes()[i] + 1j*axes()[j]``.  Read-only, so no write can leave
+        ``profile`` or the cached factors below describing other values.
     profile : tuple or None
         The exact separable form ``(fx, core, fy)`` of the distribution, set
         by the analytic constructors: ``fx(x) @ core @ fy(y)`` is its value
@@ -91,6 +92,9 @@ class WignerGrid:
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ConfigurationError(f"grid values must be a square array, got shape {vals.shape}")
         check_geometry(self.extent, vals.shape[0])
+        if vals.flags.writeable:  # a read-only view; the caller's array keeps its flags
+            vals = vals.view()
+            vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         env = as_array(self.envelope, "grid envelope")
         if np.shape(env) != (4,) or min(env[2:]) <= 0.0:
@@ -200,6 +204,16 @@ def as_grid(g, what: str, wigner: bool = False) -> WignerGrid:
 def band_limit(g: WignerGrid) -> float:
     """Largest |xi| the trapezoid sum of exp(2i xi x) resolves: pi / (2 dx), its Nyquist limit."""
     return np.pi / (2.0 * as_grid(g, "band_limit").dx)
+
+
+def _contract(g: WignerGrid, left=1.0, right=None, values=None, rowwise=False):
+    """The one grid integral, ``(left * w) @ values @ (right * w).T`` with w the
+    trapezoid weights of ``g``'s axes; ``right`` is ``left`` and ``values`` is
+    ``g.values`` unless given, and ``rowwise`` takes the diagonal (row k by row k)."""
+    w = trapezoid_weights(g.resolution, g.dx)
+    lw, rw = left * w, (left if right is None else right) * w
+    values = g.values if values is None else values
+    return np.einsum("ki,ij,kj->k", lw, values, rw) if rowwise else lw @ values @ rw.T
 
 
 def _blur_matrix(ax: np.ndarray, std: float, scale: float, out: np.ndarray) -> np.ndarray:
@@ -363,12 +377,10 @@ def characteristic(g: WignerGrid, xi):
             f"|xi| exceeds the grid band limit {band_limit(g):.4g}"
         )
     ax = g.axes()
-    w = trapezoid_weights(g.resolution, g.dx)
     flat = xi_arr.reshape(-1)
-    ex = np.exp(2j * np.outer(flat.imag, ax)) * w  # (n, res)
-    ey = np.exp(-2j * np.outer(flat.real, ax)) * w
-    out = np.einsum("ki,ij,kj->k", ex, g.values, ey)
-    out = out.reshape(xi_arr.shape)
+    ex = np.exp(2j * np.outer(flat.imag, ax))  # (n, res)
+    ey = np.exp(-2j * np.outer(flat.real, ax))
+    out = _contract(g, ex, ey, rowwise=True).reshape(xi_arr.shape)
     return out if out.ndim else complex(out)
 
 
@@ -444,8 +456,10 @@ def load_grid(basepath: str) -> WignerGrid:
         raise ConfigurationError(
             f"grid data shape {data.shape} does not match header resolution {res}"
         )
-    # a copy, so the grid does not keep the whole (res^2, 3) array alive
-    g = WignerGrid(sigma=sigma, extent=extent, values=data[:, 2].reshape(res, res).copy())
+    # a read-only copy, kept as it is: no view holds the whole (res^2, 3) array alive
+    values = data[:, 2].reshape(res, res).copy()
+    values.flags.writeable = False
+    g = WignerGrid(sigma=sigma, extent=extent, values=values)
     # the axes were written to 12 significant digits
     ax = g.axes()
     for col in (data[::res, 0], data[:res, 1]):

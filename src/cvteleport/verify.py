@@ -27,7 +27,8 @@ from .channel import (
 from .errors import ConfigurationError
 from .fidelity import fock_fidelity, squeezed_fidelity
 from .nonclassicality import photon_statistics, quadrature_statistics
-from .numerics import grid_integrate, trapezoid_weights
+from .numerics import grid_integrate
+from .phase_space import WignerGrid
 from .separability import (
     PExponentMatrix,
     channel_is_separable_via_appendix,
@@ -326,7 +327,6 @@ def criterion_9():
         if err > tol:
             return False, f"{label} integrates to 1{err:+.3g}"
     ax = np.linspace(-6.0, 6.0, 101)
-    weights = trapezoid_weights(ax.size, 12.0 / (ax.size - 1))
     density_cases = [
         ("vacuum, bare channel", vacuum_wigner(), evolve_channel(ChannelParams(0.0, 0.0, 0.0))),
         (
@@ -341,7 +341,7 @@ def criterion_9():
             rows[i] = measurement_density(w, ch, di, ax)
         if rows.min() < -1e-9:
             return False, f"{label} density dips to {rows.min():.3g}"
-        mass = weights @ rows @ weights
+        mass = grid_integrate(WignerGrid(sigma=0.0, extent=6.0, values=rows))
         err = abs(mass - 1.0)
         worst = max(worst, err)
         if err > tol:

@@ -5,6 +5,7 @@ import importlib.resources
 import io
 import json
 import math
+import time
 
 import jsonschema
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import ConfigurationError, load_grid, verify
-from cvteleport.cli import _FLAG_HELP, main
+from cvteleport.cli import _FLAG_HELP, MAX_POINTS, _channel_points, build_parser, main
 
 
 def _run(capsys, argv):
@@ -155,6 +156,30 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert out == ""
         assert fragment in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_channel_lattice_is_capped(capsys, tmp_path):
+    # each flag passes its 1000-step cap, but the lattice has 1e9 points
+    # (about 1 KB each): it exits 1 before the first point, and writes nothing
+    lattice = ["--squeezing", "0:1:1000", "--nbar", "0:1:1000", "--time", "0:1:1000"]
+    for argv in (
+        ["noise-sweep", *lattice, "--out", str(tmp_path / "sweep.csv")],
+        ["fidelity-table", "--state", "fock:1", *lattice, "--out", str(tmp_path / "table.csv")],
+        ["teleport-export", *lattice, "--out", str(tmp_path / "export")],
+    ):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert time.perf_counter() - start < 5.0, argv
+        assert code == 1 and out == "", argv
+        assert f"has 1000000000 points, at most {MAX_POINTS}" in err, err
+    assert list(tmp_path.iterdir()) == []
+    # the check runs before the first point: a lattice of MAX_POINTS points
+    # starts, one of a few more does not
+    assert MAX_POINTS == 100 * 100 * 10
+    flags = ["noise-sweep", "--squeezing", "0:1:100", "--nbar", "0:1:100", "--time"]
+    assert next(_channel_points(build_parser().parse_args([*flags, "0:1:10"]))).T == 0.0
+    with pytest.raises(ConfigurationError, match=f"has 110000 points, at most {MAX_POINTS}"):
+        next(_channel_points(build_parser().parse_args([*flags, "0:1:11"])))
 
 
 @pytest.mark.parametrize(

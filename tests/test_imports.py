@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used, every module-level
-private name in ``src/`` is referenced there, ``src/`` integrates grids
-only through ``numerics.trapezoid_weights``, and it tests numbers only
-through ``errors.as_number``, ``errors.as_array`` and ``errors.as_index``
-(no linter is installed)."""
+private name in ``src/`` is referenced there, ``src/`` calls no numpy or
+scipy trapezoid routine and integrates grids only through
+``phase_space._contract``, and it tests numbers only through
+``errors.as_number``, ``errors.as_array`` and ``errors.as_index`` (no
+linter is installed)."""
 
 import ast
 import pathlib
@@ -125,4 +126,49 @@ def test_one_number_rule():
                 _called_name(node) in _FINITENESS_TESTS or _tests_np_integer(node)
             ):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found
+
+
+# the one grid integral; only it contracts a grid's values with weight rows
+_CONTRACTION_HELPER = ("phase_space.py", "_contract")
+_CONTRACTIONS = {"matmul", "dot", "einsum"}
+
+
+def _contraction_operands(node):
+    # the operands of an @, @= or matmul/dot/einsum call (a method's receiver too)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return [node.left, node.right]
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+        return [node.target, node.value]
+    if isinstance(node, ast.Call) and _called_name(node) in _CONTRACTIONS:
+        receiver = [node.func.value] if isinstance(node.func, ast.Attribute) else []
+        return receiver + list(node.args)
+    return []
+
+
+def _grid_integrals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helper = set()
+    if path.name == _CONTRACTION_HELPER[0]:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == _CONTRACTION_HELPER[1]:
+                helper.update(id(n) for n in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper:
+            continue
+        where = f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Call) and _called_name(node) == "trapezoid_weights":
+            found.append(f"{where}: calls trapezoid_weights")
+        if any(
+            isinstance(n, ast.Attribute) and n.attr == "values"
+            for op in _contraction_operands(node) for n in ast.walk(op)
+        ):
+            found.append(f"{where}: contracts .values")
+    return list(dict.fromkeys(found))  # a chained a @ b @ c is two products on one line
+
+
+def test_one_grid_integral():
+    # every trapezoid contraction of a grid goes through phase_space._contract
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in _grid_integrals(path)]
     assert not found, found

@@ -39,6 +39,8 @@ from cvteleport import (
     teleported_squeezed_wigner,
     vacuum_wigner,
 )
+from cvteleport.nonclassicality import _raw_moments
+from cvteleport.numerics import trapezoid_weights
 from cvteleport.phase_space import _blur_matrix, _write_text, smooth
 
 _SMOOTH_INPUTS = {
@@ -531,6 +533,46 @@ def test_replaced_values_drop_the_axis_factors():
     assert core.shape[0] > g.profile[1].shape[0]
     assert np.array_equal(smooth(spline, 0.5).values, smooth(_factorless(g), 0.5).values)
 
+
+
+def test_grid_values_are_read_only(tmp_path):
+    # a write into a grid's values would leave its profile and its cached
+    # axis factors describing other values (smooth was then off by 0.086)
+    caller = fock_wigner(1, resolution=64).values.copy()
+    bare = WignerGrid(sigma=0.0, extent=6.0, values=caller)
+    g = fock_wigner(1, resolution=64)
+    save_grid(g, str(tmp_path / "grid"))
+    for grid in (bare, g, smooth(g, 0.5), convert_sigma(g, -1.0), replace(g, profile=None),
+                 _factorless(g), load_grid(str(tmp_path / "grid"))):
+        with pytest.raises(ValueError):
+            grid.values[...] *= 2
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 1.0
+        assert not grid.values.flags.writeable
+    # the grid holds a read-only view; the caller's own array keeps its flags
+    assert caller.flags.writeable
+
+
+def test_grid_integrals_keep_their_operation_order():
+    # every trapezoid contraction goes through phase_space._contract; each of
+    # its sites equals its written-out expression bit for bit, so a later
+    # helper that reorders the sums fails here
+    g = fock_wigner(3, resolution=96)
+    smoothed = teleport_state(g, 0.4)
+    xi = np.array([0.0, 0.3 + 0.2j, -0.7j, 1.1, 0.5 - 0.5j])
+    for grid in (g, smoothed, _factorless(g), _factorless(smoothed)):
+        w = trapezoid_weights(grid.resolution, grid.dx)
+        ax = grid.axes()
+        assert grid_integrate(grid) == float(w @ grid.values @ w)
+        v = ax ** np.arange(5)[:, None] * w
+        assert np.array_equal(_raw_moments(grid), v @ grid.values @ v.T)
+        overlap = np.pi * (w @ (g.values * grid.values) @ w)
+        assert overlap_fidelity(g, grid).value == min(max(float(overlap), 0.0), 1.0)
+        ex = np.exp(2j * np.outer(xi.imag, ax)) * w
+        ey = np.exp(-2j * np.outer(xi.real, ax)) * w
+        want = np.einsum("ki,ij,kj->k", ex, grid.values, ey)
+        assert np.array_equal(characteristic(grid, xi), want)
+        assert characteristic(grid, complex(xi[1])) == complex(want[1])
 
 _EQUIVALENCE_INPUTS = st.one_of(
     st.builds(lambda m: ("fock", m), st.integers(0, 20)),
