@@ -51,7 +51,7 @@ def overlap_fidelity(w_o: WignerGrid, w_r: WignerGrid) -> FidelityReport:
         )
     if not w_o.pure_origin:
         raise ConfigurationError("the reference state must be pure for overlap fidelity")
-    return FidelityReport(value=np.pi * _contract(w_o, values=w_o.values * w_r.values))
+    return FidelityReport(value=np.pi * _contract(w_o, other=w_r))
 
 
 def fock_fidelity(m: int, n_tau) -> FidelityReport:

@@ -1,8 +1,12 @@
 """Moment extraction and nonclassicality-transfer predicates.
 
 Normally ordered moments <(a^dag)^m a^n> come from one table per state: the
-trapezoid raw moments Int x^p y^q R d^2alpha, reordered to normal order by
-the Cahill-Glauber identity (Phys. Rev. 177, 1882, 1969).  On top of those
+trapezoid raw moments Int x^p y^q R d^2alpha, which ``phase_space._contract``
+takes from a grid's axis factors when it has them, reordered to normal
+order by one fixed linear map, the Cahill-Glauber identity (Phys. Rev. 177,
+1882, 1969) solved in closed form: a polynomial of degree 2 in the
+ordering shift (1 - sigma)/2 whose three 15x25 coefficient matrices are
+built once, at import, without BLAS.  On top of those
 sit the survival thresholds: how much teleportation noise n_tau a
 sub-Poissonian or squeezed input can absorb before the corresponding
 nonclassical signature disappears, and the global statement that for
@@ -63,9 +67,55 @@ class QuadratureStats:
 
 def _raw_moments(g: WignerGrid) -> np.ndarray:
     """raw[p, q] = Int x^p y^q R(x + iy) dx dy for p, q <= MAX_MOMENT_ORDER,
-    by the trapezoid rule as one product V R V^T with V[p, i] = x_i^p w_i."""
+    by the trapezoid rule as one contraction V R V^T with V[p, i] = x_i^p w_i;
+    the powers are repeated products, a fraction of the cost of ``pow``."""
     as_grid(g, "moment_table")
-    return _contract(g, g.axes() ** np.arange(MAX_MOMENT_ORDER + 1)[:, None])
+    ax = g.axes()
+    powers = np.ones((MAX_MOMENT_ORDER + 1, ax.size))
+    powers[1:] = ax
+    return _contract(g, np.cumprod(powers, axis=0))
+
+
+# the (m, n) entries of the table, m + n <= MAX_MOMENT_ORDER, in row-major order
+_LOW = tuple(np.array([
+    (m, n) for m in range(MAX_MOMENT_ORDER + 1) for n in range(MAX_MOMENT_ORDER + 1 - m)
+]).T)
+
+
+def _normal_maps() -> np.ndarray:
+    """maps[k] = D_k S, so that sum_k (-c)^k maps[k] @ raw.ravel() is the
+    normal-ordered table at the entries ``_LOW``: S expands the raw moments
+    binomially into the sigma-ordered ones, and D_k[(m, n), (m-k, n-k)] =
+    k! C(m,k) C(n,k).  Built entry by entry, from exact integers and units."""
+    side = MAX_MOMENT_ORDER + 1
+    maps = [[[0j] * side**2 for _ in _LOW[0]] for _ in range(MAX_MOMENT_ORDER // 2 + 1)]
+    for row, (m, n) in enumerate(np.transpose(_LOW).tolist()):
+        for k in range(min(m, n) + 1):
+            d = math.factorial(k) * math.comb(m, k) * math.comb(n, k)
+            # conj(alpha)^(m-k) alpha^(n-k) = (x - iy)^(m-k) (x + iy)^(n-k)
+            for a in range(m - k + 1):
+                for b in range(n - k + 1):
+                    maps[k][row][(a + b) * side + m + n - 2 * k - a - b] += (
+                        d * math.comb(m - k, a) * math.comb(n - k, b)
+                        * (-1j) ** (m - k - a) * 1j ** (n - k - b)
+                    )
+    maps = np.array(maps)
+    maps.flags.writeable = False
+    return maps
+
+
+_NORMAL_MAPS = _normal_maps()
+
+
+def _normal_order(raw: np.ndarray, sigma: float) -> np.ndarray:
+    """The table of :func:`moment_table` from the raw moments of a grid of
+    ordering sigma: with c = (1 - sigma)/2, ``sum_k (-c)^k maps[k]`` of
+    :func:`_normal_maps` applied to the raw table."""
+    c = (1.0 - sigma) / 2.0
+    table = np.full((MAX_MOMENT_ORDER + 1,) * 2, np.nan, dtype=complex)
+    shifted = sum((-c) ** k * m for k, m in enumerate(_NORMAL_MAPS))
+    table[_LOW] = shifted @ raw.ravel()
+    return table
 
 
 def moment_table(g) -> np.ndarray:
@@ -79,25 +129,10 @@ def moment_table(g) -> np.ndarray:
         {a^dag^m a^n}_sigma = sum_k k! C(m,k) C(n,k) ((1-sigma)/2)^k
                               <a^dag^(m-k) a^(n-k)>_N
 
-    then gives the normal order, solved upward in total order.
+    inverts to the same sum with -(1-sigma)/2 in place of (1-sigma)/2 and
+    the two orderings swapped, which gives the normal order in one step.
     """
-    raw = _raw_moments(g)
-    c = (1.0 - g.sigma) / 2.0
-    table = np.full((MAX_MOMENT_ORDER + 1,) * 2, np.nan, dtype=complex)
-    for total in range(MAX_MOMENT_ORDER + 1):
-        for m in range(total + 1):
-            n = total - m
-            ordered = sum(
-                math.comb(m, a) * math.comb(n, b) * (-1j) ** (m - a) * 1j ** (n - b)
-                * raw[a + b, total - a - b]
-                for a in range(m + 1)
-                for b in range(n + 1)
-            )
-            table[m, n] = ordered - sum(
-                math.factorial(k) * math.comb(m, k) * math.comb(n, k) * c**k * table[m - k, n - k]
-                for k in range(1, min(m, n) + 1)
-            )
-    return table
+    return _normal_order(_raw_moments(g), g.sigma)
 
 
 def moments(w, m: int, n: int) -> complex:

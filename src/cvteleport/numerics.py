@@ -52,6 +52,7 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
 
 def grid_integrate(g) -> float:
     """Trapezoidal integral ``w @ values @ w`` of a ``WignerGrid`` ``g``, by
-    ``phase_space._contract``; reads its ``values``, ``resolution`` and ``dx``."""
+    ``phase_space._contract``, which reads the grid's axis factors when it
+    has them."""
     from .phase_space import _contract, as_grid  # phase_space imports this module
     return float(_contract(as_grid(g, "grid_integrate")))

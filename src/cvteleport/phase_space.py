@@ -58,7 +58,8 @@ class WignerGrid:
     values : ndarray
         Square array; ``values[i, j]`` is the distribution at
         ``alpha = axes()[i] + 1j*axes()[j]``.  Read-only, so no write can leave
-        ``profile`` or the cached factors below describing other values.
+        ``profile`` or the cached factors below describing other values: a
+        read-only array that owns its data is kept, any other is copied.
     profile : tuple or None
         The exact separable form ``(fx, core, fy)`` of the distribution, set
         by the analytic constructors: ``fx(x) @ core @ fy(y)`` is its value
@@ -74,8 +75,9 @@ class WignerGrid:
         fidelities).
 
     :meth:`from_profile` and :func:`smooth` also cache the axis-sampled
-    factors ``(u_x, core, u_y)`` of the values, ``u_x @ core @ u_y.T``, for
-    :func:`smooth`; they are no field, so ``dataclasses.replace`` drops them.
+    factors ``(u_x, core, u_y)`` of the values, ``u_x @ core @ u_y.T``, which
+    :func:`smooth` and every grid integral read in place of the values; they
+    are no field, so ``dataclasses.replace`` drops them.
     """
 
     sigma: float
@@ -92,8 +94,10 @@ class WignerGrid:
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ConfigurationError(f"grid values must be a square array, got shape {vals.shape}")
         check_geometry(self.extent, vals.shape[0])
-        if vals.flags.writeable:  # a read-only view; the caller's array keeps its flags
-            vals = vals.view()
+        if vals.flags.writeable or not vals.flags.owndata:
+            # a copy: a later write into the caller's array or its base would
+            # leave the cached spline describing other values
+            vals = vals.copy()
             vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         env = as_array(self.envelope, "grid envelope")
@@ -113,10 +117,12 @@ class WignerGrid:
         ax = np.linspace(-extent, extent, resolution)
         u_x = fx(ax)
         u_y = u_x if fy is fx else fy(ax)
+        values = u_x @ core @ u_y.T
+        values.flags.writeable = False
         grid = cls(
             sigma=0.0,
             extent=float(extent),
-            values=u_x @ core @ u_y.T,
+            values=values,
             profile=profile,
             envelope=envelope,
             pure_origin=pure,
@@ -206,14 +212,41 @@ def band_limit(g: WignerGrid) -> float:
     return np.pi / (2.0 * as_grid(g, "band_limit").dx)
 
 
-def _contract(g: WignerGrid, left=1.0, right=None, values=None, rowwise=False):
+def _contract(g: WignerGrid, left=1.0, right=None, rowwise=False, other=None):
     """The one grid integral, ``(left * w) @ values @ (right * w).T`` with w the
-    trapezoid weights of ``g``'s axes; ``right`` is ``left`` and ``values`` is
-    ``g.values`` unless given, and ``rowwise`` takes the diagonal (row k by row k)."""
+    trapezoid weights of ``g``'s axes; ``right`` is ``left`` unless given, and
+    ``rowwise`` takes the diagonal (row k by row k).  With ``other``, a grid on
+    the same geometry, it is the overlap sum_ij w_i w_j g_ij other_ij instead.
+
+    It reads a grid's axis-sampled factors ``(u_x, core, u_y)`` when it has
+    them: ``(left * w) @ u_x @ core @ ((right * w) @ u_y).T``.  A grid without
+    them is the case ``u_x = u_y = I``, ``core = values``.  The overlap
+    contracts the other grid against the factored one's weighted sides,
+    ``sum(core * contraction with rows u_x.T and u_y.T)``, so it forms no
+    res^2 product unless neither grid has factors.  The rowwise sides go
+    through ``einsum``, not BLAS, so a row's value does not depend on how
+    many rows are contracted with it.
+    """
+    if other is not None:
+        if other.__dict__.get("_axis_factors") is None:
+            g, other = other, g
+        factors = other.__dict__.get("_axis_factors")
+        if factors is not None:
+            u_x, core, u_y = factors
+            return np.sum(core * _contract(g, u_x.T, None if u_y is u_x else u_y.T))
     w = trapezoid_weights(g.resolution, g.dx)
-    lw, rw = left * w, (left if right is None else right) * w
-    values = g.values if values is None else values
-    return np.einsum("ki,ij,kj->k", lw, values, rw) if rowwise else lw @ values @ rw.T
+    lw = left * w
+    rw = lw if right is None else right * w
+    factors = None if other is not None else g.__dict__.get("_axis_factors")
+    if factors is None:
+        core = g.values if other is None else g.values * other.values
+    else:
+        u_x, core, u_y = factors
+        side = (lambda rows, u: np.einsum("ki,ic->kc", rows, u)) if rowwise else np.matmul
+        same = rw is lw and u_y is u_x
+        lw = side(lw, u_x)
+        rw = lw if same else side(rw, u_y)
+    return np.einsum("ki,ij,kj->k", lw, core, rw) if rowwise else lw @ core @ rw.T
 
 
 def _blur_matrix(ax: np.ndarray, std: float, scale: float, out: np.ndarray) -> np.ndarray:
@@ -227,8 +260,8 @@ def _blur_matrix(ax: np.ndarray, std: float, scale: float, out: np.ndarray) -> n
     ``scale`` and constants are kept.  Mass is not: what an interior node
     spreads beyond an edge still leaves the grid.
 
-    The interior is a symmetric Toeplitz matrix, a mirrored sliding window
-    over the normalized taps.  Each entry is rounded as ``tap / norm`` and
+    The interior is a symmetric Toeplitz matrix, one strided read-only view
+    of the mirrored normalized taps.  Each entry is rounded as ``tap / norm`` and
     then scaled, so for a power-of-two ``scale`` the matrix is exactly
     ``scale`` times the one at scale 1, subnormal entries included.
     """
@@ -239,9 +272,13 @@ def _blur_matrix(ax: np.ndarray, std: float, scale: float, out: np.ndarray) -> n
     tails = np.cumsum(taps[::-1])[::-1]  # tails[d]: the taps at offsets >= d, smallest first
     norm = taps[0] + 2.0 * tails[1]
     row = taps[:n] / norm * scale
-    # window n - 1 - i of [row[n-1], ..., row[1], row[0], row[1], ..., row[n-1]]
-    # is row i of the Toeplitz matrix row[|i - j|]
-    out[...] = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1]
+    # entry n - 1 - i + j of [row[n-1], ..., row[1], row[0], row[1], ..., row[n-1]]
+    # is row[|i - j|]: strides (-s, s) from its middle entry
+    mirrored = np.concatenate((row[:0:-1], row))
+    s = mirrored.strides[0]
+    out[...] = np.lib.stride_tricks.as_strided(
+        mirrored[n - 1 :], (n, n), (-s, s), writeable=False
+    )
     # row i of the first column holds tap i plus the taps beyond the edge,
     # taps[i] + tails[i + 1], which the running sum has already added as tails[i]
     out[:, 0] = tails[:n] / norm * scale
@@ -334,6 +371,7 @@ def smooth(g: WignerGrid, var: float) -> WignerGrid:
             del block, k, scaled, half, other
             values = left @ right.T
             np.ldexp(values, top + top_y + top_c - 2 * _GRID_EXP, out=values)
+    values.flags.writeable = False
     cx, cy, kx, ky = g.envelope
     out = WignerGrid(
         sigma=g.sigma,

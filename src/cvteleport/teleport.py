@@ -105,6 +105,7 @@ def protocol_oracle(
     ax_out = np.linspace(-w_o.extent, w_o.extent, resolution)
     sx, core, sy = _factor_sums(w_o, rule, 1.0 / ch.n_minus, ax_out, ax_out)
     out = ch.norm * sum_s**2 * (sx @ core @ sy.T)
+    out.flags.writeable = False  # the grid keeps it, uncopied
     return WignerGrid(sigma=0.0, extent=w_o.extent, values=out)
 
 

@@ -1,9 +1,9 @@
 """Source hygiene: every imported name is used, every module-level
 private name in ``src/`` is referenced there, ``src/`` calls no numpy or
 scipy trapezoid routine and integrates grids only through
-``phase_space._contract``, and it tests numbers only through
-``errors.as_number``, ``errors.as_array`` and ``errors.as_index`` (no
-linter is installed)."""
+``phase_space._contract``, only ``phase_space`` reads a grid's cached axis
+factors, and ``src/`` tests numbers only through ``errors.as_number``,
+``errors.as_array`` and ``errors.as_index`` (no linter is installed)."""
 
 import ast
 import pathlib
@@ -171,4 +171,25 @@ def _grid_integrals(path):
 def test_one_grid_integral():
     # every trapezoid contraction of a grid goes through phase_space._contract
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in _grid_integrals(path)]
+    assert not found, found
+
+
+def _axis_factor_reads(path):
+    # the cached factors live in the grid's __dict__ under "_axis_factors",
+    # read as g.__dict__.get("_axis_factors") or getattr(g, "_axis_factors")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: reads _axis_factors"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and node.value == "_axis_factors")
+        or (isinstance(node, ast.Attribute) and node.attr == "_axis_factors")
+    ]
+
+
+def test_axis_factors_stay_in_phase_space():
+    # the factored route of every grid integral and smoothing is in one module
+    found = [
+        entry for path in sorted(SRC.glob("*.py")) if path.name != "phase_space.py"
+        for entry in _axis_factor_reads(path)
+    ]
     assert not found, found

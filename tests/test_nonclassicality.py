@@ -32,6 +32,7 @@ from cvteleport import (
     teleported_photon_stats,
     vacuum_wigner,
 )
+from cvteleport.nonclassicality import _normal_order, _raw_moments
 from cvteleport.phase_space import smooth
 
 
@@ -106,6 +107,51 @@ def test_moment_table_invariant_under_grid_refinement(kind, param):
     coarse = moment_table(_refinable_state(kind, param, 256))
     fine = moment_table(_refinable_state(kind, param, 384))
     assert_allclose(coarse, fine, rtol=0, atol=1e-6, equal_nan=True)
+
+
+def _cahill_glauber_recursion(raw, sigma):
+    # the reference: the sigma-ordered moments expanded binomially over the
+    # raw ones, reordered upward in total order by the Cahill-Glauber identity
+    c = (1.0 - sigma) / 2.0
+    table = np.full((5, 5), np.nan, dtype=complex)
+    for total in range(5):
+        for m in range(total + 1):
+            n = total - m
+            ordered = sum(
+                math.comb(m, a) * math.comb(n, b) * (-1j) ** (m - a) * 1j ** (n - b)
+                * raw[a + b, total - a - b]
+                for a in range(m + 1)
+                for b in range(n + 1)
+            )
+            table[m, n] = ordered - sum(
+                math.factorial(k) * math.comb(m, k) * math.comb(n, k) * c**k * table[m - k, n - k]
+                for k in range(1, min(m, n) + 1)
+            )
+    return table
+
+
+def _agrees_with_the_recursion(table, raw, sigma):
+    # relative to the table's largest moment: an entry that cancels to zero
+    # keeps the rounding of the largest
+    want = _cahill_glauber_recursion(raw, sigma)
+    assert np.array_equal(np.isnan(table), np.isnan(want))
+    assert np.nanmax(np.abs(table - want)) <= 1e-13 * np.nanmax(np.abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=25, max_size=25),
+    st.floats(-1.0, 1.0),
+)
+def test_normal_ordering_map_matches_the_recursion(entries, sigma):
+    raw = np.array(entries).reshape(5, 5)
+    _agrees_with_the_recursion(_normal_order(raw, sigma), raw, sigma)
+
+
+def test_moment_table_is_the_map_of_the_raw_moments():
+    g = squeezed_vacuum_wigner(0.6, resolution=128)
+    for grid in (g, teleport_state(g, 0.3), convert_sigma(g, -1.0), convert_sigma(g, -0.35)):
+        _agrees_with_the_recursion(moment_table(grid), _raw_moments(grid), grid.sigma)
 
 
 def test_moment_table_rejects_other_inputs():

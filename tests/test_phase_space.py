@@ -553,26 +553,97 @@ def test_grid_values_are_read_only(tmp_path):
     assert caller.flags.writeable
 
 
+def test_grid_copies_a_callers_array():
+    # a view of the caller's array would change under a later write into it,
+    # while the spline that value_at has already fitted would not
+    a = fock_wigner(1, resolution=64).values.copy()
+    g = WignerGrid(sigma=0.0, extent=6.0, values=a)
+    before, values = g.value_at(0.3 + 0.2j), g.values.copy()
+    a *= 2
+    assert np.array_equal(g.values, values)
+    assert g.value_at(0.3 + 0.2j) == before
+    fresh = WignerGrid(sigma=0.0, extent=6.0, values=a)
+    assert fresh.value_at(0.3 + 0.2j) == pytest.approx(2 * before, rel=1e-12)
+    # a read-only array that owns its data is kept as it is; a read-only view
+    # of a writable base is not
+    owned = a.copy()
+    owned.flags.writeable = False
+    assert np.shares_memory(WignerGrid(sigma=0.0, extent=6.0, values=owned).values, owned)
+    view = a[:, :]
+    view.flags.writeable = False
+    assert not np.shares_memory(WignerGrid(sigma=0.0, extent=6.0, values=view).values, a)
+
+
+def test_producers_hand_over_their_arrays():
+    # every grid producer passes a read-only array that owns its data, so the
+    # constructor copies none of them
+    g = fock_wigner(1, resolution=64)
+    for grid in (g, smooth(g, 0.5), convert_sigma(g, -1.0), smooth(_factorless(g), 0.5),
+                 replace(g, profile=None), _factorless(g)):
+        assert grid.values.flags.owndata and not grid.values.flags.writeable
+    assert np.shares_memory(replace(g, profile=None).values, g.values)
+    assert np.shares_memory(_factorless(g).values, g.values)
+
+
+def test_blur_matrix_is_the_written_out_toeplitz_kernel():
+    # the interior is row[|i - j|] and the edge columns add the taps beyond
+    # each edge, bit for bit, whatever view fills it
+    for n in (8, 64, 256):
+        ax = np.linspace(-6.0, 6.0, n)
+        dx = ax[1] - ax[0]
+        for std, scale in ((0.3, 1.0), (1.1, 2.0**300), (0.02, 1.0)):
+            taps = np.exp(-((np.arange(n + int(np.ceil(9.0 * std / dx))) * dx) ** 2) / (2.0 * std**2))
+            tails = np.cumsum(taps[::-1])[::-1]
+            norm = taps[0] + 2.0 * tails[1]
+            row = taps[:n] / norm * scale
+            i = np.arange(n)
+            want = row[np.abs(i[:, None] - i[None, :])]
+            want[:, 0] = tails[:n] / norm * scale
+            want[:, -1] = want[::-1, 0]
+            got = _blur_matrix(ax, std, scale, np.empty((n, n)))
+            assert np.array_equal(got, want), (n, std)
+
+
 def test_grid_integrals_keep_their_operation_order():
     # every trapezoid contraction goes through phase_space._contract; each of
     # its sites equals its written-out expression bit for bit, so a later
-    # helper that reorders the sums fails here
+    # helper that reorders the sums fails here: the dense expressions on the
+    # factor-less copies, the factored ones on grids that carry axis factors
     g = fock_wigner(3, resolution=96)
     smoothed = teleport_state(g, 0.4)
+    pure_bare = replace(g, profile=None)  # the reference without factors
     xi = np.array([0.0, 0.3 + 0.2j, -0.7j, 1.1, 0.5 - 0.5j])
+    g_x, g_core, g_y = g.__dict__["_axis_factors"]
     for grid in (g, smoothed, _factorless(g), _factorless(smoothed)):
         w = trapezoid_weights(grid.resolution, grid.dx)
         ax = grid.axes()
-        assert grid_integrate(grid) == float(w @ grid.values @ w)
-        v = ax ** np.arange(5)[:, None] * w
-        assert np.array_equal(_raw_moments(grid), v @ grid.values @ v.T)
-        overlap = np.pi * (w @ (g.values * grid.values) @ w)
-        assert overlap_fidelity(g, grid).value == min(max(float(overlap), 0.0), 1.0)
+        v = np.array([np.ones_like(ax), ax, ax * ax, ax * ax * ax, ax * ax * ax * ax]) * w
         ex = np.exp(2j * np.outer(xi.imag, ax)) * w
         ey = np.exp(-2j * np.outer(xi.real, ax)) * w
-        want = np.einsum("ki,ij,kj->k", ex, grid.values, ey)
+        factors = grid.__dict__.get("_axis_factors")
+        if factors is None:
+            mass = w @ grid.values @ w
+            raw = v @ grid.values @ v.T
+            overlaps = (
+                (pure_bare, w @ (pure_bare.values * grid.values) @ w),
+                (g, np.sum(g_core * ((g_x.T * w) @ grid.values @ (g_y.T * w).T))),
+            )
+            want = np.einsum("ki,ij,kj->k", ex, grid.values, ey)
+        else:
+            u_x, core, u_y = factors
+            mass = w @ u_x @ core @ (w @ u_y)
+            raw = (v @ u_x) @ core @ (v @ u_y).T
+            gx, gy = (u_x.T * w) @ g_x, (u_y.T * w) @ g_y
+            overlaps = ((g, np.sum(core * (gx @ g_core @ gy.T))),)
+            rows = [np.einsum("ki,ic->kc", e, u) for e, u in ((ex, u_x), (ey, u_y))]
+            want = np.einsum("ki,ij,kj->k", rows[0], core, rows[1])
+        assert grid_integrate(grid) == float(mass)
+        assert np.array_equal(_raw_moments(grid), raw)
+        for ref, overlap in overlaps:
+            assert overlap_fidelity(ref, grid).value == min(max(float(np.pi * overlap), 0.0), 1.0)
         assert np.array_equal(characteristic(grid, xi), want)
         assert characteristic(grid, complex(xi[1])) == complex(want[1])
+
 
 _EQUIVALENCE_INPUTS = st.one_of(
     st.builds(lambda m: ("fock", m), st.integers(0, 20)),
@@ -606,7 +677,12 @@ def test_factored_smoothing_matches_dense_products(state, n_tau, resolution):
         assert np.nanmax(np.abs(table - want_table)) <= 1e-13 * np.nanmax(np.abs(want_table))
         xi = np.array([0.0, 0.4 + 0.3j, -0.9j, 0.8]) * band_limit(got)
         assert_allclose(characteristic(got, xi), characteristic(want, xi), rtol=0, atol=1e-14)
-    assert abs(overlap_fidelity(g, out).value - overlap_fidelity(g, dense).value) <= 1e-15
+        assert abs(grid_integrate(got) - grid_integrate(want)) <= 1e-14
+    # the overlap of two different factored grids, and of a factored and a
+    # bare one, against the dense product of two bare grids
+    want = overlap_fidelity(replace(g, profile=None), dense).value
+    for ref, grid in ((g, out), (g, dense), (replace(g, profile=None), out)):
+        assert abs(overlap_fidelity(ref, grid).value - want) <= 1e-15
 
 
 @pytest.mark.parametrize("peak", [0.0, 1e-310, 1e-300, 1e300, "1e300 and subnormals"])
