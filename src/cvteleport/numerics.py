@@ -33,13 +33,14 @@ def gauss_hermite(order: int) -> QuadratureRule:
 
 def _centred_nodes(rule, a, p, b, c):
     """Gauss-Hermite nodes and weights for Int exp(-a (t-p)^2) f(t) dt, one row
-    per entry of p: the nodes sit under that Gaussian times the envelope
-    exp(-b (t-c)^2) of f, and the weights carry the known Gaussian."""
+    per entry of the array p, shape ``p.shape + (q,)``: the nodes sit under
+    that Gaussian times the envelope exp(-b (t-c)^2) of f, and the weights
+    carry the known Gaussian."""
     rho = a + b
-    m = (a * p + b * c) / rho
-    t = m[:, None] + rule.nodes[None, :] / np.sqrt(rho)  # (len(p), q)
-    res = np.exp(rho * (t - m[:, None]) ** 2 - a * (t - p[:, None]) ** 2)
-    return t, rule.weights[None, :] * res / np.sqrt(rho)
+    m = ((a * p + b * c) / rho)[..., None]
+    t = m + rule.nodes / np.sqrt(rho)
+    res = np.exp(rho * (t - m) ** 2 - a * (t - p[..., None]) ** 2)
+    return t, rule.weights * res / np.sqrt(rho)
 
 
 def trapezoid_weights(n: int, dx: float) -> np.ndarray:

@@ -149,10 +149,10 @@ class WignerGrid:
         """Evaluate the distribution at arbitrary points, as the one
         contraction ``fx(x) @ core @ fy(y)`` of :meth:`factors`: exact for a
         constructor's grid, the quintic spline of the values otherwise.
-        ``fx`` runs on ``x`` and ``fy`` on ``y`` in their own shapes, and the
-        two broadcast against each other."""
+        ``fx`` runs on ``x`` and ``fy`` on ``y`` in their own shapes, and
+        :func:`_pointwise` broadcasts the two against each other."""
         fx, core, fy = self.factors()
-        return np.einsum("...d,...d->...", fx(x) @ core, fy(y))
+        return _pointwise(fx(x), core, fy(y))
 
     def factors(self):
         """Separable form ``(fx, core, fy)`` of the distribution.
@@ -160,28 +160,43 @@ class WignerGrid:
         ``fx(t)`` and ``fy(t)`` stack basis functions on a new last axis, and
         ``fx(x) @ core @ fy(y)`` is the value at (x, y) point by point.  It
         is the exact ``profile`` when one is attached.  Otherwise it is the
-        quintic spline of the grid values, computed once and cached: the
-        B-spline design matrix on its knots, with points clipped to the box
-        as the spline clamps them, for both axes (a square grid's two axes
-        share knots), and its coefficient matrix.
+        interpolating quintic spline of the grid values, fitted once and
+        cached, on FITPACK's knots for these nodes: ``ax[0]`` six times, the
+        interior nodes ``ax[3:-3]``, ``ax[-1]`` six times.  Both axes share
+        that basis.  With B the res x res collocation matrix, B[i, c] =
+        B_c(ax[i]), a band of 4 below and 4 above the diagonal, the
+        coefficient matrix is C = B^-1 V B^-T, two banded solves.  At a
+        point, clipped to the box as the spline clamps it, 6 B-splines are
+        nonzero (:func:`_quintic_basis`); they are scattered into a dense
+        row of length res.
         """
         if self.profile is not None:
             return self.profile
         cached = self.__dict__.get("_factors")
         if cached is None:
-            from scipy.interpolate import BSpline, RectBivariateSpline
+            from scipy.linalg import solve_banded
 
             ax = self.axes()
-            knots, _, coef = RectBivariateSpline(ax, ax, self.values, kx=5, ky=5).tck
+            n = len(ax)
+            knots = np.concatenate((np.full(6, ax[0]), ax[3:-3], np.full(6, ax[-1])))
+            first, vals = _quintic_basis(knots, ax)
+            cols = first[:, None] + np.arange(6)
+            band = 4 + np.arange(n)[:, None] - cols  # B[i, c] sits in row 4 + i - c
+            # B[0, 5] and B[-1, -6] are 0 and lie outside the band
+            inside = (band >= 0) & (band <= 8)
+            banded = np.zeros((9, n))
+            banded[band[inside], cols[inside]] = vals[inside]
+            coef = solve_banded((4, 4), banded, solve_banded((4, 4), banded, self.values).T).T
             extent = self.extent  # the closure holds no reference to the grid
 
             def basis(t):
                 t = np.clip(np.asarray(t, dtype=float), -extent, extent)
-                rows = BSpline.design_matrix(t.ravel(), knots, 5).toarray()
-                return rows.reshape(t.shape + rows.shape[-1:])
+                first, vals = _quintic_basis(knots, t.ravel())
+                rows = np.zeros((t.size, n))
+                np.put_along_axis(rows, first[:, None] + np.arange(6), vals, axis=1)
+                return rows.reshape(t.shape + (n,))
 
-            side = len(knots) - 6
-            cached = (basis, coef.reshape(side, side), basis)
+            cached = (basis, coef, basis)
             object.__setattr__(self, "_factors", cached)
         return cached
 
@@ -190,6 +205,41 @@ class WignerGrid:
         if not (abs(a.real) <= self.extent and abs(a.imag) <= self.extent):
             raise DomainError(f"point {a} lies outside the grid extent {self.extent}")
         return float(self.sample(a.real, a.imag))
+
+
+def _quintic_basis(knots, t):
+    """The 6 quintic B-splines on ``knots`` that can be nonzero at each point of
+    the 1-D array ``t`` (inside the knots' span): the index of the first,
+    shape (len(t),), and their values, shape (len(t), 6), by the Cox-de Boor
+    recursion.  A point in [knots[i], knots[i + 1]) meets B_(i-5) ... B_i;
+    the right end of the span belongs to the last interval."""
+    n = len(knots) - 6
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 5, n - 1)
+    j = np.arange(6)[:, None]
+    left = t - knots[i + 1 - j]  # left[j] = t - knots[i + 1 - j]
+    right = knots[i + j] - t  # right[j] = knots[i + j] - t
+    vals = np.zeros((6, len(t)))
+    vals[0] = 1.0
+    for d in range(1, 6):
+        saved = 0.0
+        for r in range(d):
+            temp = vals[r] / (right[r + 1] + left[d - r])
+            vals[r] = saved + right[r + 1] * temp
+            saved = left[d - r] * temp
+        vals[d] = saved
+    return i - 5, vals.T
+
+
+def _pointwise(left, core, right):
+    """``left @ core @ right`` point by point: the rows ``left`` (..., c) and
+    ``right`` (..., d) broadcast against each other over their leading axes,
+    and only the last product takes the broadcast shape.
+
+    A point's value does not depend on the shapes it is broadcast in: the
+    rows meet the core through ``einsum``, not BLAS, whose matrix-vector and
+    matrix-matrix kernels sum in different orders, and each point's d
+    products are summed as one contiguous row."""
+    return np.sum(np.einsum("...c,cd->...d", left, core) * right, axis=-1)
 
 
 def _with_axis_factors(g: WignerGrid, factors) -> WignerGrid:

@@ -12,8 +12,10 @@ mixing of the input with one channel mode, quadrature readout, conditional
 displacement of the other mode) by four-dimensional Gauss-Hermite
 quadrature and serves as an independent cross-check of the convolution
 route.  It and ``measurement_density`` sum the input over its x and y
-nodes separately, through its separable form (``WignerGrid.factors``),
-and refuse exact factors of a degree their rule cannot integrate.
+nodes separately, through its separable form (``WignerGrid.factors``):
+the x sums at each x readout and the y sums at each y readout, each in
+its own shape, contracted through the core only where the two meet.  Both
+refuse exact factors of a degree their rule cannot integrate.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import GaussianTwoMode, as_noise
-from .errors import AccuracyError, as_array, as_kind
+from .errors import AccuracyError, ConfigurationError, as_array, as_kind
 from .numerics import _centred_nodes, gauss_hermite
-from .phase_space import WignerGrid, as_grid, check_geometry, smooth
+from .phase_space import WignerGrid, _pointwise, as_grid, check_geometry, smooth
 
 ORACLE_ORDER = 40
 _DENSITY_RULE = gauss_hermite(ORACLE_ORDER)
@@ -44,9 +46,10 @@ def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
 
 
 def _factor_sums(w_o: WignerGrid, rule, a, px, py):
-    """``(Sx, core, Sy)`` with ``Sx[p] = Int exp(-a (x - px[p])^2) fx(x) dx``
-    by ``rule`` under the input's envelope (``Sy`` likewise on y), so that
-    ``Sx[p] @ core @ Sy[p]`` integrates the input against that Gaussian.
+    """``(Sx, core, Sy)`` with ``Sx[..., :] = Int exp(-a (x - px[...])^2) fx(x) dx``
+    by ``rule`` under the input's envelope, of shape ``px.shape + (c,)``, and
+    ``Sy`` likewise on y in the shape of ``py``, so that ``Sx[i] @ core @
+    Sy[j]`` integrates the input against the Gaussian at (px[i], py[j]).
 
     The factors are ``w_o.factors()``: q nodes integrate exact factors of
     degree below 2q, so a core of size c (a number state of index c - 1)
@@ -58,9 +61,10 @@ def _factor_sums(w_o: WignerGrid, rule, a, px, py):
             f"quadrature nodes, got {len(rule.nodes)}"
         )
     cx, cy, kx, ky = w_o.envelope
-    xn, wx = _centred_nodes(rule, a, px, kx, cx)  # (len(px), q)
+    xn, wx = _centred_nodes(rule, a, px, kx, cx)  # px.shape + (q,)
     yn, wy = _centred_nodes(rule, a, py, ky, cy)
-    return np.einsum("pk,pkc->pc", wx, fx(xn)), core, np.einsum("pk,pkc->pc", wy, fy(yn))
+    return (np.einsum("...k,...kc->...c", wx, fx(xn)), core,
+            np.einsum("...k,...kc->...c", wy, fy(yn)))
 
 
 def protocol_oracle(
@@ -118,25 +122,34 @@ def measurement_density(
     """Joint density of the two measured quadratures (Im of one splitter
     output, Re of the other), marginalized over everything unread.
 
-    Accepts finite scalars or broadcastable arrays and returns matching shape.
-    At each readout point the input's x and y nodes are separate axes in
-    the input's own coordinates, so (as in :func:`protocol_oracle`) the
-    density is the row-wise ``einsum("pc,cd,pd->p", Sx, core, Sy)`` of the
-    weighted node sums.  Its rule has ``ORACLE_ORDER`` nodes, so a number
-    state above m = 39 raises :class:`AccuracyError`.
+    Accepts finite scalars or broadcastable arrays and returns their
+    broadcast shape.  In the input's own coordinates the x nodes depend only
+    on ``alpha_e_r`` and the y nodes only on ``alpha_d_i``, so (as in
+    :func:`protocol_oracle`) the weighted node sums ``Sx`` and ``Sy`` are
+    formed once per readout in that readout's own shape, and
+    ``phase_space._pointwise`` contracts ``Sx @ core`` against ``Sy`` as
+    :meth:`WignerGrid.sample` contracts its factors.  Readouts whose shapes
+    do not broadcast raise :class:`ConfigurationError`.  Its rule has
+    ``ORACLE_ORDER`` nodes, so a number state above m = 39 raises
+    :class:`AccuracyError`.
     """
     as_grid(w_o, "measurement_density", wigner=True)
     as_kind(ch, GaussianTwoMode, "measurement_density")
     what = "measurement_density takes finite readout points: "
-    di, er = np.broadcast_arrays(
-        as_array(alpha_d_i, what + "alpha_d_i"), as_array(alpha_e_r, what + "alpha_e_r")
-    )
-    shape, di, er = di.shape, di.ravel(), er.ravel()
+    di = as_array(alpha_d_i, what + "alpha_d_i")
+    er = as_array(alpha_e_r, what + "alpha_e_r")
+    try:
+        np.broadcast_shapes(di.shape, er.shape)
+    except ValueError:
+        raise ConfigurationError(
+            f"measurement_density's readouts alpha_d_i of shape {di.shape} and "
+            f"alpha_e_r of shape {er.shape} do not broadcast"
+        ) from None
     # the unread quadratures sum to sum_c each; in the input's coordinates
     # x = (d - e_r)/sqrt2, y = (d_i - e)/sqrt2 the splitter mode's exp(-c (d + e_r)^2),
     # c = 2/(n_minus + n_plus), is exp(-2c (x + sqrt2 e_r)^2), and each Jacobian is sqrt2
     sum_c = _DENSITY_RULE.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)
     a = 4.0 / (ch.n_minus + ch.n_plus)
     sx, core, sy = _factor_sums(w_o, _DENSITY_RULE, a, -np.sqrt(2.0) * er, np.sqrt(2.0) * di)
-    out = (2.0 * ch.norm * sum_c**2 * np.einsum("pc,cd,pd->p", sx, core, sy)).reshape(shape)
+    out = 2.0 * ch.norm * sum_c**2 * _pointwise(sx, core, sy)
     return out if out.ndim else float(out)

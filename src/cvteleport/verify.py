@@ -336,12 +336,10 @@ def criterion_9():
         ),
     ]
     for label, w, ch in density_cases:
-        rows = np.empty((ax.size, ax.size))
-        for i, di in enumerate(ax):
-            rows[i] = measurement_density(w, ch, di, ax)
-        if rows.min() < -1e-9:
-            return False, f"{label} density dips to {rows.min():.3g}"
-        mass = grid_integrate(WignerGrid(sigma=0.0, extent=6.0, values=rows))
+        sheet = measurement_density(w, ch, ax[:, None], ax[None, :])
+        if sheet.min() < -1e-9:
+            return False, f"{label} density dips to {sheet.min():.3g}"
+        mass = grid_integrate(WignerGrid(sigma=0.0, extent=6.0, values=sheet))
         err = abs(mass - 1.0)
         worst = max(worst, err)
         if err > tol:

@@ -2,8 +2,10 @@
 private name in ``src/`` is referenced there, ``src/`` calls no numpy or
 scipy trapezoid routine and integrates grids only through
 ``phase_space._contract``, only ``phase_space`` reads a grid's cached axis
-factors, and ``src/`` tests numbers only through ``errors.as_number``,
-``errors.as_array`` and ``errors.as_index`` (no linter is installed)."""
+factors, ``src/`` tests numbers only through ``errors.as_number``,
+``errors.as_array`` and ``errors.as_index``, and ``src/`` imports scipy
+only inside functions and never ``scipy.interpolate`` (no linter is
+installed)."""
 
 import ast
 import pathlib
@@ -191,5 +193,47 @@ def test_axis_factors_stay_in_phase_space():
     found = [
         entry for path in sorted(SRC.glob("*.py")) if path.name != "phase_space.py"
         for entry in _axis_factor_reads(path)
+    ]
+    assert not found, found
+
+
+def _scipy_imports(path):
+    # (line, module, at import time) for each import of scipy or a submodule;
+    # ``from scipy import x`` imports the module scipy.x
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, deferred):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name, not deferred) for a in node.names
+                         if a.name.partition(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "scipy":
+            names = [node.module] if node.module != "scipy" else [
+                f"scipy.{a.name}" for a in node.names]
+            found.extend((node.lineno, name, not deferred) for name in names)
+        deferred = deferred or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, deferred)
+
+    visit(tree, False)
+    return [(f"{path.relative_to(ROOT)}:{line}", name, eager) for line, name, eager in found]
+
+
+def test_scipy_is_imported_lazily():
+    # importing cvteleport loads no scipy module: set-up time is mostly imports
+    found = [
+        f"{where}: {name}" for path in sorted(SRC.glob("*.py"))
+        for where, name, eager in _scipy_imports(path) if eager
+    ]
+    assert not found, found
+
+
+def test_no_scipy_interpolate():
+    # the spline is fitted by two banded solves; scipy.interpolate alone
+    # costs about 23 MB of resident memory over scipy.linalg
+    found = [
+        f"{where}: {name}" for path in sorted(SRC.glob("*.py"))
+        for where, name, _ in _scipy_imports(path)
+        if name == "scipy.interpolate" or name.startswith("scipy.interpolate.")
     ]
     assert not found, found

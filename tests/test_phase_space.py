@@ -5,7 +5,10 @@ import gc
 import io
 import json
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -42,6 +45,8 @@ from cvteleport import (
 from cvteleport.nonclassicality import _raw_moments
 from cvteleport.numerics import trapezoid_weights
 from cvteleport.phase_space import _blur_matrix, _write_text, smooth
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 _SMOOTH_INPUTS = {
     "vacuum": vacuum_wigner(resolution=128),
@@ -136,6 +141,56 @@ def test_spline_factors_match_sample():
     spline = RectBivariateSpline(ax, ax, bare.values, kx=5, ky=5)
     assert_allclose(got, spline(x, y, grid=False), rtol=0, atol=1e-15)
     assert fx(x.reshape(20, 20)).shape == (20, 20, core.shape[0])
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 96, 257])
+def test_spline_fit_reproduces_the_nodes(resolution):
+    rng = np.random.default_rng(resolution)
+    for values in (fock_wigner(2, 6.0, resolution).values, rng.standard_normal((resolution,) * 2)):
+        bare = WignerGrid(sigma=0.0, extent=6.0, values=values)
+        fx, core, fy = bare.factors()
+        ax = bare.axes()
+        got = fx(ax) @ core @ fy(ax).T
+        assert np.abs(got - values).max() <= 1e-14 * np.abs(values).max()
+
+
+def test_spline_fit_matches_fitpack():
+    # FITPACK's interpolating quintic, as a reference: the same coefficients,
+    # and the same values inside the box and clamped outside it, of random
+    # values of size 1
+    rng = np.random.default_rng(17)
+    for resolution, extent in ((8, 1.0), (9, 6.0), (40, 3.5), (128, 8.0)):
+        values = rng.standard_normal((resolution, resolution))
+        bare = WignerGrid(sigma=0.0, extent=extent, values=values)
+        ax = bare.axes()
+        spline = RectBivariateSpline(ax, ax, values, kx=5, ky=5)
+        _, core, _ = bare.factors()
+        # at 8 points a side the coefficients of random values reach 400
+        want = spline.get_coeffs().reshape(core.shape)
+        assert np.abs(core - want).max() <= 1e-13 * np.abs(want).max()
+        x, y = rng.uniform(-1.5 * extent, 1.5 * extent, (2, 300))
+        assert_allclose(bare.sample(x, y), spline(x, y, grid=False), rtol=0, atol=1e-13)
+
+
+_BARE_ORACLE = """
+import sys
+from dataclasses import replace
+from cvteleport import ChannelParams, evolve_channel, fock_wigner, protocol_oracle
+bare = replace(fock_wigner(2, 6.0, 64), profile=None)
+bare.factors()
+protocol_oracle(bare, evolve_channel(ChannelParams(0.5, 0.3, 0.4)), resolution=16)
+print(sorted(name for name in sys.modules if name.startswith("scipy.interpolate")))
+"""
+
+
+def test_spline_route_loads_no_interpolation_module():
+    # scipy.interpolate alone holds about 23 MB of resident memory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _BARE_ORACLE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 def test_spline_factors_are_cached_without_holding_the_grid():

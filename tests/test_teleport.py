@@ -439,6 +439,43 @@ def test_measurement_density_spline_route_matches_profile():
                 measurement_density(grid, ch, *point)
 
 
+def test_measurement_density_rejects_readouts_that_do_not_broadcast():
+    # both shapes are named, and the check comes before any factors are built
+    ch = evolve_channel(ChannelParams(s_qc=0.5, n_bar=0.3, T=0.4))
+    bare = replace(fock_wigner(1, 6.0, 32), profile=None)
+    for grid in (fock_wigner(1), bare):
+        with pytest.raises(ConfigurationError, match=r"\(3,\).*\(4,\)"):
+            measurement_density(grid, ch, np.zeros(3), np.zeros(4))
+    assert "_factors" not in bare.__dict__
+
+
+_SPLINE_DENSITY_INPUT = replace(fock_wigner(2, 6.0, 64), profile=None)
+_READOUTS = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5).map(np.array)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(_ORACLE_INPUTS.map(lambda make: make(8.0, 32)), st.just(_SPLINE_DENSITY_INPUT)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 1.0),
+    _READOUTS,
+    _READOUTS,
+)
+def test_density_at_broadcast_readouts_is_pointwise(g, s_qc, n_bar, T, a, b):
+    # each readout's node sums are formed in its own shape; the sheet is its
+    # scalar calls, to within 1e-16 of its largest entry
+    ch = evolve_channel(ChannelParams(s_qc=s_qc, n_bar=n_bar, T=T))
+    for di, er in ((a[0], b), (a, b[-1]), (a[:, None], b[None, :]), (b[:, None], a[None, :]),
+                   (a, a[::-1]), (a[:, None], a[:, None] / 2.0)):
+        got = measurement_density(g, ch, di, er)
+        d_i, e_r = np.broadcast_arrays(di, er)
+        want = np.array([measurement_density(g, ch, float(x), float(y))
+                         for x, y in zip(d_i.ravel(), e_r.ravel())]).reshape(d_i.shape)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-16 * np.abs(want).max()
+
+
 def test_kernel_mutation_hook_breaks_oracle_agreement(monkeypatch):
     # a corrupted kernel that smooths at n_tau * 1.05 must fail criterion 4
     g = fock_wigner(1)
