@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, as_kind, as_number
+from .errors import ConfigurationError, DomainError, as_kind, as_number, overflow_guard
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ class ChannelParams:
             raise ConfigurationError(f"s_qc must be >= 0, got {self.s_qc}")
         if as_number(self.n_bar, "n_bar") < 0:
             raise ConfigurationError(f"n_bar must be >= 0, got {self.n_bar}")
+        if 2.0 * float(self.n_bar) + 1.0 == math.inf:  # the bath's variance 1 + 2 n_bar
+            raise ConfigurationError(f"n_bar = {self.n_bar} is too large: 1 + 2 n_bar overflows")
         if not 0.0 <= as_number(self.T, "T") <= 1.0:
             raise ConfigurationError(f"T must lie in [0, 1], got {self.T}")
 
@@ -106,8 +108,8 @@ def as_noise(n_tau) -> float:
 
 def _growth(p: ChannelParams) -> float:
     """exp(2 s_qc), or DomainError naming s_qc where it overflows."""
-    try:
-        return math.exp(2.0 * p.s_qc)
+    try:  # math.exp raises past 709.78 but returns inf at inf, where 2 s_qc overflows
+        return math.exp(min(2.0 * p.s_qc, 1e308))
     except OverflowError:
         raise DomainError(f"s_qc = {p.s_qc} is too large: exp(2 s_qc) overflows") from None
 
@@ -143,16 +145,15 @@ def integrate_moment_flow(p: ChannelParams):
     tau_end = p.gamma_t
     n = max(1, int(np.ceil(tau_end / 1e-3))) if tau_end > 0 else 0
     h = tau_end / n if n else 0.0
-    try:
-        with np.errstate(over="raise"):  # a start near the float limit overflows in the steps
-            for _ in range(n):
-                k1 = f(y)
-                k2 = f(y + 0.5 * h * k1)
-                k3 = f(y + 0.5 * h * k2)
-                k4 = f(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    except FloatingPointError:
-        raise DomainError(f"s_qc = {p.s_qc} is too large: the flow's Runge-Kutta steps overflow") from None
+    # a start or a bath variance near the float limit overflows in the steps
+    with overflow_guard(f"s_qc = {p.s_qc} or n_bar = {p.n_bar} is too large: "
+                        "the flow's Runge-Kutta steps overflow"):
+        for _ in range(n):
+            k1 = f(y)
+            k2 = f(y + 0.5 * h * k1)
+            k3 = f(y + 0.5 * h * k2)
+            k4 = f(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return float(y[0]), float(y[1])
 
 

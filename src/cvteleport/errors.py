@@ -79,3 +79,21 @@ def as_kind(x, kind: type, what: str):
     if not isinstance(x, kind):
         raise ConfigurationError(f"{what} takes a {kind.__name__}, got {type(x).__name__}")
     return x
+
+
+class overflow_guard:
+    """Context manager that raises ``error(message)`` where its block
+    overflows: in a numpy operation (run with overflow and invalid operations
+    raised) or in Python's float ``**`` and ``math`` functions."""
+
+    def __init__(self, message: str, error: type = DomainError):
+        self.message, self.error = message, error
+        self.state = np.errstate(over="raise", invalid="raise")
+
+    def __enter__(self):
+        self.state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self.state.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, (OverflowError, FloatingPointError)):
+            raise self.error(self.message) from None

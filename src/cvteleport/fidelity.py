@@ -17,7 +17,7 @@ from math import cosh, sqrt
 import numpy as np
 
 from .channel import as_noise
-from .errors import ConfigurationError, DomainError, as_index, as_number
+from .errors import ConfigurationError, DomainError, as_index, as_number, overflow_guard
 from .phase_space import WignerGrid, _contract, as_grid
 
 _RESCALE = 2.0**300
@@ -85,8 +85,7 @@ def squeezed_fidelity(s_o: float, n_tau) -> FidelityReport:
     """
     s_o = as_number(s_o, "squeezing s_o")
     n = as_noise(n_tau)
-    try:
-        val = 1.0 / sqrt(n**2 + 2.0 * n * cosh(2.0 * s_o) + 1.0)
-    except OverflowError:
-        raise DomainError(f"squeezing s_o = {s_o} is too large: cosh(2 s_o) overflows") from None
-    return FidelityReport(value=val)
+    with overflow_guard(f"squeezing s_o = {s_o} is too large: cosh(2 s_o) overflows"):
+        c = cosh(2.0 * s_o)
+    with overflow_guard(f"noise n_tau = {n} is too large: n_tau^2 overflows"):
+        return FidelityReport(value=1.0 / sqrt(n**2 + 2.0 * n * c + 1.0))

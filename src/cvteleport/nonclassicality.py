@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import as_noise
-from .errors import DomainError, UnsupportedDeconvolutionError, as_index, as_kind, as_number
+from .errors import (
+    DomainError, UnsupportedDeconvolutionError, as_index, as_kind, as_number, overflow_guard,
+)
 from .phase_space import WignerGrid, _contract, as_grid, smooth
 
 _VAR_SLOP = 1e-6
@@ -176,7 +178,8 @@ def teleported_photon_stats(s_in, n_tau) -> PhotonStats:
     if not isinstance(s_in, PhotonStats):  # a Fock index; PhotonStats rejects a negative one
         s_in = PhotonStats(mean=as_index(s_in, "Fock index", lo=None), variance=0.0)
     mean = s_in.mean + n
-    var = s_in.variance + (2.0 * s_in.mean + 1.0) * n + n**2
+    with overflow_guard(f"noise n_tau = {n} is too large: n_tau^2 overflows"):
+        var = s_in.variance + (2.0 * s_in.mean + 1.0) * n + n**2
     return PhotonStats(mean=mean, variance=var)
 
 
@@ -188,7 +191,8 @@ def sub_poisson_threshold(s: PhotonStats):
     never exceeds 1/2.
     """
     as_kind(s, PhotonStats, "sub_poisson_threshold")
-    radicand = s.mean**2 + s.mean - s.variance
+    with overflow_guard(f"mean photon number {s.mean} is too large: N^2 overflows"):
+        radicand = s.mean**2 + s.mean - s.variance
     if radicand <= 0.0:
         return None
     thr = math.sqrt(radicand) - s.mean

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: Gauss-Hermite rules and the trapezoid
-weights that ``phase_space._contract``, the one grid integral, folds in."""
+"""Shared numerical kernels: Gauss-Hermite rules, built once per order, and
+the trapezoid weights that ``phase_space._contract``, the one grid integral, folds in."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import as_index
 
 MAX_QUADRATURE_ORDER = 200
+_RULES = {}  # order -> QuadratureRule, built on first use; as_index keeps True out
 
 
 @dataclass(frozen=True)
@@ -22,13 +23,17 @@ class QuadratureRule:
 
 
 def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule (weight exp(-x^2)) of the given order.
+    """Gauss-Hermite rule (weight exp(-x^2)) of the given order, shared read-only.
 
     Nodes and weights come from the eigendecomposition of the Jacobi
     matrix, which is stable for every order accepted here.
     """
-    nodes, weights = hermgauss(as_index(order, "quadrature order", 1, MAX_QUADRATURE_ORDER))
-    return QuadratureRule(nodes=nodes, weights=weights)
+    order = as_index(order, "quadrature order", 1, MAX_QUADRATURE_ORDER)  # before the lookup
+    if order not in _RULES:
+        nodes, weights = hermgauss(order)
+        nodes.flags.writeable = weights.flags.writeable = False
+        _RULES[order] = QuadratureRule(nodes=nodes, weights=weights)
+    return _RULES[order]
 
 
 def _centred_nodes(rule, a, p, b, c):

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GaussianTwoMode
-from .errors import NotSeparableError, as_kind, as_number
+from .errors import ConfigurationError, NotSeparableError, as_kind, as_number, overflow_guard
 from .numerics import _centred_nodes, gauss_hermite
 
 RECONSTRUCT_ORDER = 30
-_RECONSTRUCT_RULE = gauss_hermite(RECONSTRUCT_ORDER)
 
 
 @dataclass(frozen=True)
@@ -36,6 +35,9 @@ class PExponentMatrix:
         as_number(self.n_bb, "n_bb")
         as_number(self.n_cc, "n_cc")
         as_number(self.n_bc, "n_bc", complex)
+        what = "PExponentMatrix's det N = n_bb n_cc - |n_bc|^2"
+        with overflow_guard(what + " overflows", ConfigurationError):
+            as_number(self.det, what)  # Python's float product overflows to inf silently
 
     @property
     def det(self) -> float:
@@ -101,12 +103,13 @@ def p_value(n: PExponentMatrix, a_b: complex, a_c: complex) -> float:
     as_kind(n, PExponentMatrix, "p_value")
     as_number(a_b, "p_value's point a_b", complex)
     as_number(a_c, "p_value's point a_c", complex)
-    quad = (
-        n.n_bb * abs(a_b) ** 2
-        + n.n_cc * abs(a_c) ** 2
-        + 2.0 * (n.n_bc * np.conj(a_b) * a_c).real
-    )
-    return float(n.det / np.pi**2 * np.exp(-quad))
+    with overflow_guard(f"p_value overflows at a_b = {a_b}, a_c = {a_c}"):
+        quad = (  # numpy's products, so that an overflow raises rather than gives inf
+            np.float64(n.n_bb) * abs(a_b) ** 2
+            + np.float64(n.n_cc) * abs(a_c) ** 2
+            + 2.0 * (n.n_bc * np.conj(a_b) * a_c).real
+        )
+        return float(n.det / np.pi**2 * np.exp(-quad))
 
 
 def _factor_b(n, d, a_b, beta):
@@ -143,13 +146,15 @@ def reconstruct_p(
     as_number(a_b, "reconstruct_p's point a_b", complex)
     as_number(a_c, "reconstruct_p's point a_c", complex)
     a_tot = d.m_s + abs(n.n_bc) ** 2 / d.m_b + 1.0 / d.m_c
-    b_lin = np.conj(n.n_bc) * a_b - a_c  # coefficient of conj(beta)
-    # the nodes of Re and Im beta sit under exp(-a_tot |beta - b_lin / a_tot|^2)
-    centre = np.array([b_lin.real, b_lin.imag]) / a_tot
-    (br, bi), (wr, wi) = _centred_nodes(_RECONSTRUCT_RULE, 0.0, np.zeros(2), a_tot, centre)
-    beta = br[:, None] + 1j * bi[None, :]
-    integrand = _weight(d, beta) * _factor_b(n, d, a_b, beta) * _factor_c(n, d, a_c, beta)
-    return float(wr @ integrand @ wi)
+    rule = gauss_hermite(RECONSTRUCT_ORDER)
+    with overflow_guard(f"reconstruct_p overflows at a_b = {a_b}, a_c = {a_c}"):
+        b_lin = np.conj(n.n_bc) * a_b - a_c  # coefficient of conj(beta)
+        # the nodes of Re and Im beta sit under exp(-a_tot |beta - b_lin / a_tot|^2)
+        centre = np.array([b_lin.real, b_lin.imag]) / a_tot
+        (br, bi), (wr, wi) = _centred_nodes(rule, 0.0, np.zeros(2), a_tot, centre)
+        beta = br[:, None] + 1j * bi[None, :]
+        integrand = _weight(d, beta) * _factor_b(n, d, a_b, beta) * _factor_c(n, d, a_c, beta)
+        return float(wr @ integrand @ wi)
 
 
 def channel_is_separable_via_appendix(g: GaussianTwoMode) -> bool:

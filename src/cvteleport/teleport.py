@@ -28,7 +28,6 @@ from .numerics import _centred_nodes, gauss_hermite
 from .phase_space import WignerGrid, _pointwise, as_grid, check_geometry, smooth
 
 ORACLE_ORDER = 40
-_DENSITY_RULE = gauss_hermite(ORACLE_ORDER)
 
 
 def teleport_state(w_o: WignerGrid, n_tau) -> WignerGrid:
@@ -148,8 +147,9 @@ def measurement_density(
     # the unread quadratures sum to sum_c each; in the input's coordinates
     # x = (d - e_r)/sqrt2, y = (d_i - e)/sqrt2 the splitter mode's exp(-c (d + e_r)^2),
     # c = 2/(n_minus + n_plus), is exp(-2c (x + sqrt2 e_r)^2), and each Jacobian is sqrt2
-    sum_c = _DENSITY_RULE.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)
+    rule = gauss_hermite(ORACLE_ORDER)
+    sum_c = rule.weights.sum() / np.sqrt(1.0 / ch.n_minus + 1.0 / ch.n_plus)
     a = 4.0 / (ch.n_minus + ch.n_plus)
-    sx, core, sy = _factor_sums(w_o, _DENSITY_RULE, a, -np.sqrt(2.0) * er, np.sqrt(2.0) * di)
+    sx, core, sy = _factor_sums(w_o, rule, a, -np.sqrt(2.0) * er, np.sqrt(2.0) * di)
     out = 2.0 * ch.norm * sum_c**2 * _pointwise(sx, core, sy)
     return out if out.ndim else float(out)

@@ -1,5 +1,7 @@
 """Thermal channel evolution, noise factors and the direct-transmission gap."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,19 @@ def test_moment_flow_rejects_overflowing_squeezing(s_qc, T):
     # numpy overflow warning into an error
     with pytest.raises(DomainError, match="s_qc"):
         integrate_moment_flow(ChannelParams(s_qc=s_qc, n_bar=0.0, T=T))
+
+
+def test_bath_variance_must_not_overflow():
+    # 1 + 2 n_bar overflows past about 8.99e307
+    for T in (0.0, 0.5, 1.0):
+        with pytest.raises(ConfigurationError, match="n_bar"):
+            ChannelParams(s_qc=0.5, n_bar=1e308, T=T)
+    p = ChannelParams(s_qc=0.5, n_bar=8.9e307, T=0.5)
+    assert evolve_channel(p).n_minus == noise_factor(p).value
+    # the flow's steps overflow below that bound, and say which inputs to blame
+    with pytest.raises(DomainError, match="n_bar"):
+        integrate_moment_flow(p)
+    assert integrate_moment_flow(replace(p, T=1.0)) == (1.0 + 2.0 * 8.9e307, 0.0)
 
 
 def test_moment_flow_fixed_point_and_step_guard():

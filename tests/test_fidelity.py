@@ -158,6 +158,8 @@ def test_fock_fidelity_validation():
     for s_o in (1e3, -400.0):  # cosh(2 s_o) overflows
         with pytest.raises(DomainError, match="s_o"):
             squeezed_fidelity(s_o, 0.5)
+    with pytest.raises(DomainError, match="n_tau"):  # n_tau^2 overflows, cosh(2 s_o) does not
+        squeezed_fidelity(0.5, 1e200)
 
 
 def test_squeezed_fidelity_values():

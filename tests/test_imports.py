@@ -3,9 +3,10 @@ private name in ``src/`` is referenced there, ``src/`` calls no numpy or
 scipy trapezoid routine and integrates grids only through
 ``phase_space._contract``, only ``phase_space`` reads a grid's cached axis
 factors, ``src/`` tests numbers only through ``errors.as_number``,
-``errors.as_array`` and ``errors.as_index``, and ``src/`` imports scipy
-only inside functions and never ``scipy.interpolate`` (no linter is
-installed)."""
+``errors.as_array`` and ``errors.as_index``, ``src/`` imports scipy
+only inside functions and never ``scipy.interpolate``, and builds a
+Gauss-Hermite rule only inside ``numerics.gauss_hermite``, never at import
+(no linter is installed)."""
 
 import ast
 import pathlib
@@ -235,5 +236,48 @@ def test_no_scipy_interpolate():
         f"{where}: {name}" for path in sorted(SRC.glob("*.py"))
         for where, name, _ in _scipy_imports(path)
         if name == "scipy.interpolate" or name.startswith("scipy.interpolate.")
+    ]
+    assert not found, found
+
+
+_RULE_BUILDERS = {"gauss_hermite", "hermgauss"}
+
+
+def _rule_builds(path):
+    # (where, name, innermost enclosing function or None at import time) for
+    # each call of a rule builder; a def's decorators and defaults run at import
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call) and _called_name(node) in _RULE_BUILDERS:
+            found.append((f"{path.relative_to(ROOT)}:{node.lineno}", _called_name(node), function))
+        body, name = (), function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body, name = node.body, node.name
+        elif isinstance(node, ast.Lambda):
+            body, name = [node.body], "<lambda>"
+        for child in ast.iter_child_nodes(node):
+            visit(child, name if any(child is b for b in body) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_rule_is_built_at_import():
+    # importing cvteleport runs no eigen-solve: rules are built on first use
+    found = [
+        f"{where}: {name}" for path in sorted(SRC.glob("*.py"))
+        for where, name, function in _rule_builds(path) if function is None
+    ]
+    assert not found, found
+
+
+def test_hermgauss_only_in_gauss_hermite():
+    # one place builds a rule, so each order is built once and shared
+    found = [
+        f"{where}: hermgauss in {function}" for path in sorted(SRC.glob("*.py"))
+        for where, name, function in _rule_builds(path)
+        if name == "hermgauss" and (path.name, function) != ("numerics.py", "gauss_hermite")
     ]
     assert not found, found

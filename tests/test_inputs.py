@@ -1,11 +1,14 @@
 """Every public entry point that takes a number or a record refuses a
-malformed one with a CvtError, and still takes numpy's numbers.
+malformed one with a CvtError, and still takes numpy's numbers; at a huge
+finite number it returns a finite result or raises a CvtError.
 
 The table holds one valid call per public callable and the kind of each
 argument it checks: a real number, a complex one, an index, or a record
 class.  Every other position gets the same valid argument in each case."""
 
+import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +24,19 @@ from cvteleport import (
     QuadratureStats,
     SeparableDecomposition,
     WignerGrid,
+    check_criterion,
     decompose,
+    direct_noise,
     evolve_channel,
     fock_wigner,
+    integrate_moment_flow,
+    is_separable,
+    noise_factor,
+    p_value,
+    reconstruct_p,
+    sub_poisson_threshold,
+    teleport_vs_direct_gap,
+    teleported_photon_stats,
 )
 
 REAL, COMPLEX, INDEX = "real", "complex", "index"
@@ -211,3 +224,69 @@ def test_array_positions_take_arrays(name, i):
         got = _call(name, args, i, points)
         assert np.shape(got) == (2,)
         assert [_call(name, args, i, p) for p in points] == list(got)
+
+
+# finite numbers whose squares, or whose 1 + 2x, overflow
+_HUGE = (1e200, -1e200, 1e308, -1e308, 1e200 + 1e200j)
+
+# the positions whose arithmetic overflowed in Python's float ** or numpy
+_OVERFLOW_POSITIONS = [
+    ("p_value", 1), ("p_value", 2), ("reconstruct_p", 2), ("reconstruct_p", 3),
+    ("teleported_photon_stats", 1), ("squeezed_fidelity", 0), ("squeezed_fidelity", 1),
+]
+
+# records with one huge field, run through the functions that read them
+_RECORD_USES = {
+    ("PExponentMatrix", i): (
+        lambda n: n.det, check_criterion, decompose, lambda n: p_value(n, 0.3, 0.2j),
+        lambda n: reconstruct_p(decompose(n), n, 0.3, 0.2j),
+    )
+    for i in range(3)
+}
+_RECORD_USES.update({
+    ("PhotonStats", i): (sub_poisson_threshold, lambda s: teleported_photon_stats(s, 1.0))
+    for i in range(2)
+})
+# ChannelParams(s_qc, n_bar, T) at T = 0, 0.5 and 1, with the flow among its uses
+_RECORD_USES.update({
+    ("ChannelParams", i, T): (
+        evolve_channel, noise_factor, integrate_moment_flow, direct_noise, is_separable,
+        teleport_vs_direct_gap,
+    )
+    for i in range(2) for T in (0.0, 0.5, 1.0)
+})
+
+
+def _finite(result):
+    # every number of a result, a record or a tuple of them, is finite; None is "no threshold"
+    if result is None:
+        return True
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    return bool(np.isfinite(np.asarray(result, dtype=complex)).all())
+
+
+def _finite_or_cvt_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call()
+        except CvtError:
+            return
+    assert _finite(result), result
+
+
+@pytest.mark.parametrize("name, i", _OVERFLOW_POSITIONS, ids=[f"{n}-{i}" for n, i in _OVERFLOW_POSITIONS])
+def test_huge_number_gives_a_finite_result_or_a_cvt_error(name, i):
+    args, _ = TABLE[name]
+    for huge in _HUGE:
+        _finite_or_cvt_error(lambda: _call(name, args, i, huge))
+
+
+@pytest.mark.parametrize("key", list(_RECORD_USES), ids=["-".join(map(str, k)) for k in _RECORD_USES])
+def test_record_with_a_huge_field_gives_finite_results_or_cvt_errors(key):
+    name, i, *T = key
+    args = TABLE[name][0] if not T else (0.5, 0.3, T[0])
+    for huge in _HUGE:
+        for use in _RECORD_USES[key]:
+            _finite_or_cvt_error(lambda: use(_call(name, args, i, huge)))

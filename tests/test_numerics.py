@@ -1,6 +1,10 @@
 """Quadrature and grid-integration primitives."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +64,49 @@ def test_gauss_hermite_order_bounds():
     for flag in (True, False):
         with pytest.raises(ConfigurationError):
             gauss_hermite(flag)
+
+
+def test_gauss_hermite_builds_each_order_once():
+    rule = gauss_hermite(40)
+    assert gauss_hermite(40) is rule
+    assert gauss_hermite(np.int64(40)) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    gauss_hermite(1)  # cached: the order check must come before the lookup
+    for flag in (True, False, 1.0, np.float64(1.0)):
+        with pytest.raises(ConfigurationError):
+            gauss_hermite(flag)
+
+
+# counts hermgauss calls: none at import, one per order however often it is asked for
+_COUNT_RULES = """
+import numpy.polynomial.hermite as hermite
+calls = []
+build = hermite.hermgauss
+hermite.hermgauss = lambda order: calls.append(order) or build(order)
+import cvteleport
+at_import = list(calls)
+grid, ch = cvteleport.fock_wigner(1, 6.0, 16), cvteleport.two_mode_squeezed_vacuum(0.5)
+for _ in range(2):
+    cvteleport.protocol_oracle(grid, ch, 8)
+    cvteleport.measurement_density(grid, ch, 0.1, 0.2)
+    cvteleport.reconstruct_p(cvteleport.decompose(cvteleport.PExponentMatrix(2.0, 2.0, -0.5)),
+                             cvteleport.PExponentMatrix(2.0, 2.0, -0.5), 0.3, 0.2j)
+print(at_import, calls)
+"""
+
+
+def test_import_builds_no_rule_and_no_rule_is_rebuilt():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _COUNT_RULES], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] [40, 30]", proc.stdout
 
 
 def test_grid_integrate_normalized_states():
