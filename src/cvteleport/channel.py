@@ -108,10 +108,9 @@ def as_noise(n_tau) -> float:
 
 def _growth(p: ChannelParams) -> float:
     """exp(2 s_qc), or DomainError naming s_qc where it overflows."""
-    try:  # math.exp raises past 709.78 but returns inf at inf, where 2 s_qc overflows
+    # math.exp raises past 709.78 but returns inf at inf, where 2 s_qc overflows
+    with overflow_guard(f"s_qc = {p.s_qc} is too large: exp(2 s_qc) overflows"):
         return math.exp(min(2.0 * p.s_qc, 1e308))
-    except OverflowError:
-        raise DomainError(f"s_qc = {p.s_qc} is too large: exp(2 s_qc) overflows") from None
 
 
 def evolve_channel(p: ChannelParams) -> GaussianTwoMode:

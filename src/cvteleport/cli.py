@@ -20,6 +20,7 @@ from .channel import ChannelParams, direct_noise, is_separable, noise_factor, te
 from .errors import AccuracyError, ConfigurationError, CvtError, as_index, as_number
 from .fidelity import fock_fidelity, overlap_fidelity, squeezed_fidelity
 from .nonclassicality import (
+    PhotonStats,
     p_positive_after_teleport,
     photon_statistics,
     quadrature_statistics,
@@ -290,16 +291,14 @@ def cmd_teleport_export(args) -> int:
     if more:
         raise ConfigurationError("teleport-export takes one noise point, not a range of them")
     label = args.state or "vacuum"
-    _, _, w_in = _parse_state(label, extent, res)
+    kind, param, w_in = _parse_state(label, extent, res)
     w_out = teleport_state(w_in, n_tau)
     # every number comes before the first file, and report.json comes last
     stats = photon_statistics(w_out)
     quad0 = quadrature_statistics(w_out, 0.0)
-    in_stats = photon_statistics(w_in)
-    in_var = min(
-        quadrature_statistics(w_in, 0.0).variance,
-        quadrature_statistics(w_in, np.pi / 2).variance,
-    )
+    # the input's thresholds are those of its closed form; vacuum and coherent states have none
+    sub_poisson = sub_poisson_threshold(PhotonStats(param, 0.0)) if kind == "fock" else None
+    squeezing = squeezing_threshold(np.exp(-2.0 * abs(param))) if kind == "squeezed" else None
     q_min = float(convert_sigma(w_out, -1.0).values.min())
 
     outdir = _resolve_out(args.out or ".")
@@ -323,8 +322,8 @@ def cmd_teleport_export(args) -> int:
             "quadrature_variance": _round12(quad0.variance),
         },
         "thresholds": {
-            "sub_poisson": _maybe_round(sub_poisson_threshold(in_stats)),
-            "squeezing": _maybe_round(squeezing_threshold(in_var)),
+            "sub_poisson": _maybe_round(sub_poisson),
+            "squeezing": _maybe_round(squeezing),
             "p_positive_after_teleport": bool(p_positive_after_teleport(n_tau)),
         },
         "grid_min": {

@@ -30,6 +30,7 @@ from .errors import (
     as_index,
     as_kind,
     as_number,
+    overflow_guard,
 )
 from .numerics import trapezoid_weights
 
@@ -38,10 +39,13 @@ DEFAULT_RESOLUTION = 256
 
 
 def check_geometry(extent, resolution) -> None:
-    """Raise ConfigurationError unless ``extent`` is finite and positive and
-    ``resolution`` is an integer (not a bool) of at least 8."""
-    if as_number(extent, "grid extent") <= 0:
+    """Raise ConfigurationError unless ``extent`` is finite and positive, with a
+    finite square, and ``resolution`` is an integer (not a bool) of at least 8."""
+    extent = as_number(extent, "grid extent")
+    if extent <= 0:
         raise ConfigurationError(f"grid extent must be positive, got {extent}")
+    if extent * extent == np.inf:
+        raise ConfigurationError(f"grid extent {extent} is too large: its square overflows")
     as_index(resolution, "grid resolution", lo=8)
 
 
@@ -115,8 +119,10 @@ class WignerGrid:
         check_geometry(extent, resolution)
         fx, core, fy = profile
         ax = np.linspace(-extent, extent, resolution)
-        u_x = fx(ax)
-        u_y = u_x if fy is fx else fy(ax)
+        with overflow_guard(f"grid extent {extent} is too large: sampling the state on it "
+                            "overflows", ConfigurationError):
+            u_x = fx(ax)
+            u_y = u_x if fy is fx else fy(ax)
         values = u_x @ core @ u_y.T
         values.flags.writeable = False
         grid = cls(
@@ -152,7 +158,8 @@ class WignerGrid:
         ``fx`` runs on ``x`` and ``fy`` on ``y`` in their own shapes, and
         :func:`_pointwise` broadcasts the two against each other."""
         fx, core, fy = self.factors()
-        return _pointwise(fx(x), core, fy(y))
+        with overflow_guard("the points x, y are too large: sampling the grid overflows"):
+            return _pointwise(fx(x), core, fy(y))
 
     def factors(self):
         """Separable form ``(fx, core, fy)`` of the distribution.
@@ -507,7 +514,8 @@ def _write_text(path: str, chunks) -> None:
 
 def save_grid(g: WignerGrid, basepath: str):
     """Write ``<basepath>.csv`` (columns alpha_r, alpha_i, value) and a
-    ``<basepath>.json`` header describing the geometry."""
+    ``<basepath>.json`` header describing the rest of the grid: its ordering,
+    geometry, envelope and purity."""
     as_grid(g, "save_grid")
     csv_path = f"{basepath}.csv"
     json_path = f"{basepath}.json"
@@ -522,19 +530,29 @@ def save_grid(g: WignerGrid, basepath: str):
             yield template.replace("\0", x) % tuple(row.tolist())
 
     _write_text(csv_path, rows())
-    header = {"sigma": g.sigma, "extent": g.extent, "resolution": g.resolution}
+    header = {"sigma": g.sigma, "extent": g.extent, "resolution": g.resolution,
+              "envelope": list(g.envelope), "pure_origin": g.pure_origin}
     _write_text(json_path, [json.dumps(header, indent=2) + "\n"])
     return csv_path, json_path
 
 
 def load_grid(basepath: str) -> WignerGrid:
     """Read a grid written by :func:`save_grid`; a malformed pair raises
-    :class:`ConfigurationError`."""
+    :class:`ConfigurationError`.  A header without ``envelope`` or
+    ``pure_origin`` gives the vacuum's envelope and a grid that is not pure."""
     try:
         with open(f"{basepath}.json") as fh:
             header = json.load(fh)
         sigma, extent = (as_number(header[k], f"grid header {k}") for k in ("sigma", "extent"))
         res = as_index(header["resolution"], "grid header resolution", lo=8)
+        envelope = header.get("envelope", list(WignerGrid.envelope))
+        if not isinstance(envelope, list) or len(envelope) != 4:
+            raise ConfigurationError(
+                f"grid header envelope must be [cx, cy, kx, ky], got {envelope!r}")
+        envelope = tuple(as_number(v, "grid header envelope") for v in envelope)
+        pure = header.get("pure_origin", False)
+        if not isinstance(pure, bool):
+            raise ConfigurationError(f"grid header pure_origin must be true or false, got {pure!r}")
         data = np.loadtxt(f"{basepath}.csv", delimiter=",", skiprows=1)
     except KeyError as exc:
         raise ConfigurationError(f"grid header is missing {exc}") from None
@@ -547,7 +565,7 @@ def load_grid(basepath: str) -> WignerGrid:
     # a read-only copy, kept as it is: no view holds the whole (res^2, 3) array alive
     values = data[:, 2].reshape(res, res).copy()
     values.flags.writeable = False
-    g = WignerGrid(sigma=sigma, extent=extent, values=values)
+    g = WignerGrid(sigma=sigma, extent=extent, values=values, envelope=envelope, pure_origin=pure)
     # the axes were written to 12 significant digits
     ax = g.axes()
     for col in (data[::res, 0], data[:res, 1]):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import GaussianTwoMode, as_noise
-from .errors import AccuracyError, ConfigurationError, as_array, as_kind
+from .errors import AccuracyError, ConfigurationError, as_array, as_kind, overflow_guard
 from .numerics import _centred_nodes, gauss_hermite
 from .phase_space import WignerGrid, _pointwise, as_grid, check_geometry, smooth
 
@@ -52,7 +52,8 @@ def _factor_sums(w_o: WignerGrid, rule, a, px, py):
 
     The factors are ``w_o.factors()``: q nodes integrate exact factors of
     degree below 2q, so a core of size c (a number state of index c - 1)
-    needs c <= q.  The spline's piecewise basis is not checked."""
+    needs c <= q.  The spline's piecewise basis is not checked.  Readouts so
+    far out that the sums overflow raise DomainError."""
     fx, core, fy = w_o.factors()
     if w_o.profile is not None and core.shape[0] > len(rule.nodes):
         raise AccuracyError(
@@ -60,10 +61,11 @@ def _factor_sums(w_o: WignerGrid, rule, a, px, py):
             f"quadrature nodes, got {len(rule.nodes)}"
         )
     cx, cy, kx, ky = w_o.envelope
-    xn, wx = _centred_nodes(rule, a, px, kx, cx)  # px.shape + (q,)
-    yn, wy = _centred_nodes(rule, a, py, ky, cy)
-    return (np.einsum("...k,...kc->...c", wx, fx(xn)), core,
-            np.einsum("...k,...kc->...c", wy, fy(yn)))
+    with overflow_guard("the readouts are too large: the quadrature node sums overflow"):
+        xn, wx = _centred_nodes(rule, a, px, kx, cx)  # px.shape + (q,)
+        yn, wy = _centred_nodes(rule, a, py, ky, cy)
+        return (np.einsum("...k,...kc->...c", wx, fx(xn)), core,
+                np.einsum("...k,...kc->...c", wy, fy(yn)))
 
 
 def protocol_oracle(

@@ -381,6 +381,34 @@ def test_teleport_export_positive_regime(capsys, tmp_path):
     )
 
 
+def _threshold_cases():
+    # (selector, sub_poisson, squeezing): the closed forms of the selected input
+    # sqrt(m(m+1)) - m and (1 - e^{-2|s|})/2, printed to 12 digits, or null
+    cases = [(label, None, None) for label in
+             ("vacuum", "fock:0", "coherent:-2,0", "coherent:1,0.5", "coherent:0,2.5")]
+    cases += [(f"fock:{m}", float(f"{math.sqrt(m * (m + 1)) - m:.12g}"), None)
+              for m in (1, 3, 20, 30)]
+    cases += [(f"squeezed:{s}", None, float(f"{(1.0 - math.exp(-2.0 * abs(s))) / 2.0:.12g}"))
+              for s in (0.5, -1.2)]
+    return [(res, *case) for case in cases for res in (64, 256)
+            if res == 64 or case[0] in ("vacuum", "fock:30", "squeezed:-1.2")]
+
+
+@pytest.mark.parametrize("res, label, sub_poisson, squeezing", _threshold_cases(),
+                         ids=lambda v: str(v))
+def test_teleport_export_thresholds_are_the_inputs_closed_forms(
+        capsys, tmp_path, res, label, sub_poisson, squeezing):
+    # no moment of the input grid is read back: a classical input has no
+    # threshold on any grid, and a Fock or squeezed one keeps its exact value
+    code, _, _ = _run(capsys, ["teleport-export", "--state", label, "--ntau", "0.4",
+                               "--grid-res", str(res), "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    jsonschema.validate(report, _schema("teleport_report"))
+    thresholds = report["thresholds"]
+    assert (thresholds["sub_poisson"], thresholds["squeezing"]) == (sub_poisson, squeezing)
+
+
 def test_outdir_env_and_config(capsys, tmp_path, monkeypatch):
     conf = tmp_path / "run.conf"
     conf.write_text("state = fock:1\nntau = 0.8\ngrid-res = 128\n")
@@ -411,7 +439,8 @@ def test_grid_header_schema(tmp_path, capsys):
     assert code == 0
     header = json.loads((tmp_path / "input_wigner.json").read_text())
     jsonschema.validate(header, _schema("grid_header"))
-    assert header == {"sigma": 0.0, "extent": 6.0, "resolution": 64}
+    assert header == {"sigma": 0.0, "extent": 6.0, "resolution": 64,
+                      "envelope": [0.0, 0.0, 2.0, 2.0], "pure_origin": True}
 
 
 def test_unwritable_out_exits_three(capsys, tmp_path):

@@ -16,7 +16,9 @@ import pytest
 import cvteleport
 from cvteleport import (
     ChannelParams,
+    ConfigurationError,
     CvtError,
+    DomainError,
     GaussianTwoMode,
     PExponentMatrix,
     PhotonStats,
@@ -33,6 +35,7 @@ from cvteleport import (
     is_separable,
     noise_factor,
     p_value,
+    protocol_oracle,
     reconstruct_p,
     sub_poisson_threshold,
     teleport_vs_direct_gap,
@@ -229,10 +232,11 @@ def test_array_positions_take_arrays(name, i):
 # finite numbers whose squares, or whose 1 + 2x, overflow
 _HUGE = (1e200, -1e200, 1e308, -1e308, 1e200 + 1e200j)
 
-# the positions whose arithmetic overflowed in Python's float ** or numpy
+# every real and complex position: a grid's extent, a readout, a noise, a
+# squeezing, a point of a P function
 _OVERFLOW_POSITIONS = [
-    ("p_value", 1), ("p_value", 2), ("reconstruct_p", 2), ("reconstruct_p", 3),
-    ("teleported_photon_stats", 1), ("squeezed_fidelity", 0), ("squeezed_fidelity", 1),
+    (name, i) for name, (_, kinds) in TABLE.items() for i, kind in enumerate(kinds)
+    if kind in (REAL, COMPLEX)
 ]
 
 # records with one huge field, run through the functions that read them
@@ -261,6 +265,8 @@ def _finite(result):
     # every number of a result, a record or a tuple of them, is finite; None is "no threshold"
     if result is None:
         return True
+    if isinstance(result, WignerGrid):
+        return bool(np.isfinite(result.values).all())
     if dataclasses.is_dataclass(result):
         result = dataclasses.astuple(result)
     return bool(np.isfinite(np.asarray(result, dtype=complex)).all())
@@ -281,6 +287,17 @@ def test_huge_number_gives_a_finite_result_or_a_cvt_error(name, i):
     args, _ = TABLE[name]
     for huge in _HUGE:
         _finite_or_cvt_error(lambda: _call(name, args, i, huge))
+
+
+def test_huge_extents_and_points_outside_the_table():
+    # the square of 1.2e154 is finite, but the factors overflow on that axis
+    with pytest.raises(ConfigurationError, match="grid extent 1.2e\\+154 is too large"):
+        fock_wigner(1, 1.2e154, 16)
+    with pytest.raises(DomainError, match="points x, y are too large"):
+        GRID.sample(1e155, 0.0)
+    # a bare grid near the widest extent, through a narrow channel
+    bare = WignerGrid(0.0, 1e153, GRID.values)
+    _finite_or_cvt_error(lambda: protocol_oracle(bare, evolve_channel(ChannelParams(3.0, 0.0, 0.0))))
 
 
 @pytest.mark.parametrize("key", list(_RECORD_USES), ids=["-".join(map(str, k)) for k in _RECORD_USES])

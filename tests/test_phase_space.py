@@ -22,6 +22,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from cvteleport import (
     AccuracyError,
+    ChannelParams,
     ConfigurationError,
     DomainError,
     UnsupportedDeconvolutionError,
@@ -30,12 +31,15 @@ from cvteleport import (
     characteristic,
     coherent_wigner,
     convert_sigma,
+    evolve_channel,
     fock_wigner,
     grid_integrate,
     load_grid,
     moment_table,
     overlap_fidelity,
+    protocol_oracle,
     save_grid,
+    squeezed_fidelity,
     squeezed_vacuum_wigner,
     teleport_state,
     teleported_fock_wigner,
@@ -407,6 +411,44 @@ def test_load_grid_header_follows_the_number_rule(tmp_path):
     assert load_grid(base).sigma == 0.0
 
 
+def test_grid_files_keep_the_envelope_and_purity(tmp_path):
+    # the envelope places the oracle's nodes, and purity lets a grid be an
+    # overlap's reference: a loaded grid keeps both
+    g = squeezed_vacuum_wigner(1.0, extent=8.0, resolution=128)
+    base = str(tmp_path / "grid")
+    for grid in (teleport_state(g, 0.3), g):
+        save_grid(grid, base)
+        back = load_grid(base)
+        assert (back.envelope, back.pure_origin) == (grid.envelope, grid.pure_origin)
+    ch = evolve_channel(ChannelParams(0.5, 0.3, 0.4))
+    assert_allclose(protocol_oracle(back, ch, 32).values, protocol_oracle(g, ch, 32).values,
+                    rtol=0, atol=1e-6)
+    assert_allclose(overlap_fidelity(back, teleport_state(g, 0.3)).value,
+                    squeezed_fidelity(1.0, 0.3).value, rtol=0, atol=1e-9)
+
+
+def test_load_grid_checks_the_envelope_and_purity(tmp_path):
+    base = str(tmp_path / "grid")
+    save_grid(vacuum_wigner(resolution=16), base)
+    head = '{"sigma": 0.0, "extent": 6.0, "resolution": 16'
+    for extra, what in (
+        ('"pure_origin": 1', "grid header pure_origin"),
+        ('"pure_origin": "true"', "grid header pure_origin"),
+        ('"envelope": [0.0, 0.0, 2.0]', "grid header envelope"),
+        ('"envelope": 2.0', "grid header envelope"),
+        ('"envelope": [0.0, 0.0, true, 2.0]', "grid header envelope"),
+        ('"envelope": [0.0, NaN, 2.0, 2.0]', "grid header envelope"),
+        ('"envelope": [0.0, 0.0, 0.0, 2.0]', "grid envelope"),
+    ):
+        (tmp_path / "grid.json").write_text(f"{head}, {extra}}}\n")
+        with pytest.raises(ConfigurationError, match=what):
+            load_grid(base)
+    # a header without them, as older files have, keeps the defaults
+    (tmp_path / "grid.json").write_text(head + "}\n")
+    back = load_grid(base)
+    assert back.envelope == (0.0, 0.0, 2.0, 2.0) and back.pure_origin is False
+
+
 def test_save_grid_writes_csv_writer_bytes(tmp_path):
     values = np.linspace(-1.0, 1.0, 256).reshape(16, 16)
     values[3, :5] = (-0.0, 5e-324, 1e-300, 1e20, 1.0 / 3.0)
@@ -422,7 +464,8 @@ def test_save_grid_writes_csv_writer_bytes(tmp_path):
     with open(csv_path, "rb") as fh:
         assert fh.read() == want.getvalue().encode()
     with open(json_path) as fh:
-        assert json.load(fh) == {"sigma": 0.0, "extent": 6.0, "resolution": 16}
+        assert json.load(fh) == {"sigma": 0.0, "extent": 6.0, "resolution": 16,
+                                 "envelope": [0.0, 0.0, 2.0, 2.0], "pure_origin": False}
 
 
 def test_write_text_is_whole_or_absent(tmp_path):

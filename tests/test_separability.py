@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import (
@@ -132,6 +134,16 @@ def test_appendix_route_agrees_with_closed_form():
         if is_boundary_case(ch):
             continue
         assert channel_is_separable_via_appendix(ch) == is_separable(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(s_qc=st.floats(0.0, 6.0), n_bar=st.floats(0.0, 3.0), T=st.floats(0.0, 1.0))
+def test_appendix_verdict_matches_the_closed_form_off_the_boundary(s_qc, n_bar, T):
+    # the P-function route and n_tau >= 1 agree on every channel off n_tau = 1
+    p = ChannelParams(s_qc=s_qc, n_bar=n_bar, T=T)
+    ch = evolve_channel(p)
+    assume(not is_boundary_case(ch))
+    assert channel_is_separable_via_appendix(ch) == is_separable(p)
 
 
 def test_boundary_case_detection():
