@@ -1,6 +1,8 @@
 """Continuous-variable teleportation through a thermally degraded
 two-mode squeezed channel, on phase-space grids."""
 
+from types import ModuleType as _ModuleType
+
 from .channel import (
     ChannelParams,
     GaussianTwoMode,
@@ -74,66 +76,8 @@ from .teleport import measurement_density, protocol_oracle, teleport_state
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "ChannelParams",
-    "ConfigurationError",
-    "CvtError",
-    "DEFAULT_EXTENT",
-    "DEFAULT_RESOLUTION",
-    "DomainError",
-    "FidelityReport",
-    "GaussianTwoMode",
-    "NoiseFactor",
-    "NotSeparableError",
-    "PExponentMatrix",
-    "PhotonStats",
-    "QuadratureRule",
-    "QuadratureStats",
-    "SeparableDecomposition",
-    "UnsupportedDeconvolutionError",
-    "WignerGrid",
-    "band_limit",
-    "channel_is_separable_via_appendix",
-    "characteristic",
-    "check_criterion",
-    "coherent_wigner",
-    "convert_sigma",
-    "decompose",
-    "direct_noise",
-    "evolve_channel",
-    "fock_fidelity",
-    "fock_wigner",
-    "gauss_hermite",
-    "grid_integrate",
-    "integrate_moment_flow",
-    "is_boundary_case",
-    "is_separable",
-    "load_grid",
-    "measurement_density",
-    "moment_table",
-    "moments",
-    "noise_factor",
-    "overlap_fidelity",
-    "p_exponent_from_channel",
-    "p_negativity_probe",
-    "p_positive_after_teleport",
-    "p_value",
-    "photon_statistics",
-    "protocol_oracle",
-    "quadrature_statistics",
-    "quadrature_transfer",
-    "reconstruct_p",
-    "save_grid",
-    "squeezed_fidelity",
-    "squeezed_vacuum_wigner",
-    "squeezing_threshold",
-    "sub_poisson_threshold",
-    "teleport_state",
-    "teleport_vs_direct_gap",
-    "teleported_fock_wigner",
-    "teleported_photon_stats",
-    "teleported_squeezed_wigner",
-    "two_mode_squeezed_vacuum",
-    "vacuum_wigner",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -156,7 +156,10 @@ class WignerGrid:
         contraction ``fx(x) @ core @ fy(y)`` of :meth:`factors`: exact for a
         constructor's grid, the quintic spline of the values otherwise.
         ``fx`` runs on ``x`` and ``fy`` on ``y`` in their own shapes, and
-        :func:`_pointwise` broadcasts the two against each other."""
+        :func:`_pointwise` broadcasts the two against each other.  A NaN or
+        infinite point raises ConfigurationError, before any factors."""
+        x = as_array(x, "sample takes finite points: x")
+        y = as_array(y, "sample takes finite points: y")
         fx, core, fy = self.factors()
         with overflow_guard("the points x, y are too large: sampling the grid overflows"):
             return _pointwise(fx(x), core, fy(y))

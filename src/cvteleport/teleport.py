@@ -15,7 +15,9 @@ route.  It and ``measurement_density`` sum the input over its x and y
 nodes separately, through its separable form (``WignerGrid.factors``):
 the x sums at each x readout and the y sums at each y readout, each in
 its own shape, contracted through the core only where the two meet.  Both
-refuse exact factors of a degree their rule cannot integrate.
+refuse exact factors of a degree their rule cannot integrate.  The grid
+keeps the sums of its last two sides, so the rows of a density sheet share
+their x sums, and the oracle's y side reuses its x sums where they agree.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def _factor_sums(w_o: WignerGrid, rule, a, px, py):
     The factors are ``w_o.factors()``: q nodes integrate exact factors of
     degree below 2q, so a core of size c (a number state of index c - 1)
     needs c <= q.  The spline's piecewise basis is not checked.  Readouts so
-    far out that the sums overflow raise DomainError."""
+    far out that the sums overflow raise DomainError.  Each side's sums come
+    from :func:`_side_sums`, which the grid caches."""
     fx, core, fy = w_o.factors()
     if w_o.profile is not None and core.shape[0] > len(rule.nodes):
         raise AccuracyError(
@@ -62,10 +65,37 @@ def _factor_sums(w_o: WignerGrid, rule, a, px, py):
         )
     cx, cy, kx, ky = w_o.envelope
     with overflow_guard("the readouts are too large: the quadrature node sums overflow"):
-        xn, wx = _centred_nodes(rule, a, px, kx, cx)  # px.shape + (q,)
-        yn, wy = _centred_nodes(rule, a, py, ky, cy)
-        return (np.einsum("...k,...kc->...c", wx, fx(xn)), core,
-                np.einsum("...k,...kc->...c", wy, fy(yn)))
+        return (_side_sums(w_o, "_x_sums", fx, rule, a, px, kx, cx), core,
+                _side_sums(w_o, "_y_sums", fy, rule, a, py, ky, cy))
+
+
+# the grid's two slots of side sums, one written by each side
+_SUM_SLOTS = ("_x_sums", "_y_sums")
+
+
+def _side_sums(w_o: WignerGrid, slot: str, f, rule, a, p, k, c):
+    """``Int exp(-a (t - p[...])^2) f(t) dt`` by ``rule`` under the envelope
+    exp(-k (t - c)^2), of shape ``p.shape + (columns of f,)``, read-only.
+
+    A grid cannot change, so the sums of its last two sides are kept on it,
+    each in its ``slot`` as one ``(key, sums)`` tuple.  The key holds all the
+    sums depend on: ``f`` (matched by identity), the rule's order, ``a``, ``k``
+    and ``c`` by their bits, and the readouts' shape and bytes.  Either slot
+    serves either side, so a density row finds the x sums of the row before,
+    and the oracle's y side finds its x side's sums when ``fy is fx`` and the
+    envelope is symmetric.  Only finished sums are kept: sums that overflow
+    raise on every call.  A slot is written whole, so a reader in another
+    thread finds a key with its own sums or misses."""
+    key = (f, len(rule.nodes), float(a).hex(), float(k).hex(), float(c).hex(), p.shape, p.tobytes())
+    for name in _SUM_SLOTS:
+        entry = w_o.__dict__.get(name)
+        if entry is not None and entry[0][0] is f and entry[0] == key:
+            return entry[1]
+    t, w = _centred_nodes(rule, a, p, k, c)  # p.shape + (q,)
+    sums = np.einsum("...k,...kc->...c", w, f(t))
+    sums.flags.writeable = False
+    object.__setattr__(w_o, slot, (key, sums))
+    return sums
 
 
 def protocol_oracle(

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cvteleport import ConfigurationError, load_grid, verify
-from cvteleport.cli import _FLAG_HELP, MAX_POINTS, _channel_points, build_parser, main
+from cvteleport.cli import (
+    _FLAG_HELP,
+    GRID_TOLERANCE,
+    MAX_POINTS,
+    _channel_points,
+    build_parser,
+    main,
+)
+from cvteleport.phase_space import check_geometry
 
 
 def _run(capsys, argv):
@@ -441,6 +449,21 @@ def test_grid_header_schema(tmp_path, capsys):
     jsonschema.validate(header, _schema("grid_header"))
     assert header == {"sigma": 0.0, "extent": 6.0, "resolution": 64,
                       "envelope": [0.0, 0.0, 2.0, 2.0], "pure_origin": True}
+
+
+def test_schema_bounds_mirror_the_code():
+    # each schema bound that restates a limit of the code is that limit
+    grid = _schema("grid_header")["properties"]
+    side = grid["resolution"]["minimum"]
+    check_geometry(1.0, side)
+    with pytest.raises(ConfigurationError, match="resolution"):
+        check_geometry(1.0, side - 1)
+    extent = grid["extent"]["maximum"]
+    check_geometry(extent, side)
+    with pytest.raises(ConfigurationError, match="square overflows"):
+        check_geometry(math.nextafter(extent, math.inf), side)
+    row = _schema("fidelity_table")["properties"]["rows"]["items"]["properties"]
+    assert row["abs_delta"]["maximum"] == GRID_TOLERANCE
 
 
 def test_unwritable_out_exits_three(capsys, tmp_path):

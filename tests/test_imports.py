@@ -2,11 +2,11 @@
 private name in ``src/`` is referenced there, ``src/`` calls no numpy or
 scipy trapezoid routine and integrates grids only through
 ``phase_space._contract``, only ``phase_space`` reads a grid's cached axis
-factors, ``src/`` tests numbers only through ``errors.as_number``,
-``errors.as_array`` and ``errors.as_index``, ``src/`` imports scipy
-only inside functions and never ``scipy.interpolate``, and builds a
-Gauss-Hermite rule only inside ``numerics.gauss_hermite``, never at import
-(no linter is installed)."""
+factors and only ``teleport`` its cached side sums, ``src/`` tests numbers
+only through ``errors.as_number``, ``errors.as_array`` and
+``errors.as_index``, ``src/`` imports scipy only inside functions and never
+``scipy.interpolate``, and builds a Gauss-Hermite rule only inside
+``numerics.gauss_hermite``, never at import (no linter is installed)."""
 
 import ast
 import pathlib
@@ -177,15 +177,15 @@ def test_one_grid_integral():
     assert not found, found
 
 
-def _axis_factor_reads(path):
-    # the cached factors live in the grid's __dict__ under "_axis_factors",
-    # read as g.__dict__.get("_axis_factors") or getattr(g, "_axis_factors")
+def _cache_reads(path, names):
+    # a grid caches in its __dict__ under private names, read or written as
+    # g.__dict__.get(name), getattr(g, name) or object.__setattr__(g, name, ...)
     tree = ast.parse(path.read_text(), filename=str(path))
     return [
-        f"{path.relative_to(ROOT)}:{node.lineno}: reads _axis_factors"
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Constant) and node.value == "_axis_factors")
-        or (isinstance(node, ast.Attribute) and node.attr == "_axis_factors")
+        f"{path.relative_to(ROOT)}:{node.lineno}: reads {name}"
+        for node in ast.walk(tree) for name in sorted(names)
+        if (isinstance(node, ast.Constant) and node.value == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
     ]
 
 
@@ -193,7 +193,16 @@ def test_axis_factors_stay_in_phase_space():
     # the factored route of every grid integral and smoothing is in one module
     found = [
         entry for path in sorted(SRC.glob("*.py")) if path.name != "phase_space.py"
-        for entry in _axis_factor_reads(path)
+        for entry in _cache_reads(path, {"_axis_factors"})
+    ]
+    assert not found, found
+
+
+def test_side_sums_stay_in_teleport():
+    # the cached quadrature side sums of a grid belong to the oracle and the density
+    found = [
+        entry for path in sorted(SRC.glob("*.py")) if path.name != "teleport.py"
+        for entry in _cache_reads(path, {"_x_sums", "_y_sums"})
     ]
     assert not found, found
 

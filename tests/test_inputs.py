@@ -300,6 +300,19 @@ def test_huge_extents_and_points_outside_the_table():
     _finite_or_cvt_error(lambda: protocol_oracle(bare, evolve_channel(ChannelParams(3.0, 0.0, 0.0))))
 
 
+def test_sample_rejects_non_finite_points():
+    # on both routes, before any factors; value_at keeps its DomainError
+    bare = dataclasses.replace(GRID, profile=None)
+    for grid in (GRID, bare):
+        for x, y in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf),
+                     (np.array([0.0, np.nan]), 0.0)):
+            with pytest.raises(ConfigurationError, match="sample takes finite points"):
+                grid.sample(x, y)
+            with pytest.raises(DomainError):
+                grid.value_at(complex(np.max(x), y))
+    assert "_factors" not in bare.__dict__
+
+
 @pytest.mark.parametrize("key", list(_RECORD_USES), ids=["-".join(map(str, k)) for k in _RECORD_USES])
 def test_record_with_a_huge_field_gives_finite_results_or_cvt_errors(key):
     name, i, *T = key

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cvteleport import (
     noise_factor,
     protocol_oracle,
     squeezed_vacuum_wigner,
+    teleport,
     teleport_state,
     teleported_fock_wigner,
     teleported_squeezed_wigner,
@@ -489,3 +491,128 @@ def test_kernel_mutation_hook_breaks_oracle_agreement(monkeypatch):
     assert not ok and detail.startswith("fock 1, n_tau=0.5")
     monkeypatch.undo()
     assert criterion_4()[0]
+
+
+# grids for the cached side sums, on both routes: symmetric envelopes (vacuum,
+# Fock), squeezed ones and off-centre ones (coherent); a bare grid's two sides
+# share one basis whatever its envelope
+_CACHE_INPUTS = (
+    vacuum_wigner(8.0, 32),
+    fock_wigner(1, 8.0, 32),
+    squeezed_vacuum_wigner(0.5, 8.0, 32),
+    coherent_wigner(0.5 - 0.25j, 8.0, 32),
+    replace(fock_wigner(2, 6.0, 32), profile=None),
+    replace(squeezed_vacuum_wigner(-0.4, 6.0, 32), profile=None),
+    replace(coherent_wigner(0.5 - 0.25j, 6.0, 32), profile=None),
+)
+_FIELDS = {"sigma", "extent", "values", "profile", "envelope", "pure_origin"}
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.shape, x.tobytes()
+
+
+def _uncached_side_sums(w_o, slot, f, rule, a, p, k, c):
+    # teleport._side_sums without its cache
+    t, w = _centred_nodes(rule, a, p, k, c)
+    return np.einsum("...k,...kc->...c", w, f(t))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_CACHE_INPUTS),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 1.0),
+    _READOUTS,
+    _READOUTS,
+)
+def test_cached_side_sums_match_fresh_grids(g, s_qc, n_bar, T, a, b):
+    # rows of one sheet, a whole sheet, equal readouts on both sides and the
+    # oracle at two orders, twice over on one grid that earlier examples used
+    # too: each is bit for bit the call on a fresh copy, which holds no sums
+    # before the call, and the call with no sums kept at all
+    ch = evolve_channel(ChannelParams(s_qc=s_qc, n_bar=n_bar, T=T))
+    calls = (
+        lambda w: protocol_oracle(w, ch, 16).values,
+        lambda w: protocol_oracle(w, ch, 16, ORACLE_ORDER + 1).values,
+        lambda w: measurement_density(w, ch, a[0], b),
+        lambda w: measurement_density(w, ch, a[-1], b),
+        lambda w: measurement_density(w, ch, b[:, None], a[None, :]),
+        lambda w: measurement_density(w, ch, a, -a),
+        lambda w: measurement_density(w, ch, float(b[0]), float(a[-1])),
+    )
+    for _ in range(2):
+        for call in calls:
+            got = _bits(call(g))
+            assert got == _bits(call(replace(g)))
+            with mock.patch.object(teleport, "_side_sums", _uncached_side_sums):
+                assert got == _bits(call(replace(g)))
+            assert set(vars(g)) - _FIELDS <= {"_axis_factors", "_factors", "_x_sums", "_y_sums"}
+
+
+def test_density_rows_and_the_oracle_reuse_side_sums():
+    ch = evolve_channel(ChannelParams(0.5, 0.5, 0.3))
+    ax = np.linspace(-6.0, 6.0, 101)
+    g = fock_wigner(1, 8.0, 32)
+    measurement_density(g, ch, ax[0], ax)
+    sx = g.__dict__["_x_sums"][1]
+    measurement_density(g, ch, ax[1], ax)
+    assert g.__dict__["_x_sums"][1] is sx  # the second row found the first row's x sums
+    # the oracle's y side reads the x slot only where fy is fx and the
+    # envelope is symmetric; a second order or channel on the grid misses
+    for g, shared in (
+        (fock_wigner(1, 8.0, 32), True),
+        (replace(fock_wigner(1, 8.0, 32), profile=None), True),
+        (squeezed_vacuum_wigner(0.5, 8.0, 32), False),  # fy is not fx
+        (replace(squeezed_vacuum_wigner(0.5, 8.0, 32), profile=None), False),  # kx != ky
+        (replace(coherent_wigner(0.5 - 0.25j, 8.0, 32), profile=None), False),  # cx != cy
+    ):
+        for order, params in ((ORACLE_ORDER, (0.5, 0.5, 0.3)), (ORACLE_ORDER + 1, (0.5, 0.5, 0.3)),
+                              (ORACLE_ORDER + 1, (0.2, 0.5, 0.3))):
+            ch = evolve_channel(ChannelParams(*params))
+            got = protocol_oracle(g, ch, order=order).values
+            assert ("_y_sums" not in vars(g)) == shared
+            with mock.patch.object(teleport, "_side_sums", _uncached_side_sums):
+                assert _bits(got) == _bits(protocol_oracle(replace(g), ch, order=order).values)
+
+
+def test_cached_side_sums_are_read_only_and_stay_on_their_grid():
+    ch = evolve_channel(ChannelParams(0.5, 0.5, 0.3))
+    ax = np.linspace(-6.0, 6.0, 101)
+    for g in (fock_wigner(1, 8.0, 32), replace(fock_wigner(1, 8.0, 32), profile=None)):
+        measurement_density(g, ch, 0.5, ax)
+        for slot in ("_x_sums", "_y_sums"):
+            sums = g.__dict__[slot][1]
+            assert not sums.flags.writeable
+            with pytest.raises(ValueError):
+                sums[...] = 0.0
+        for other in (replace(g), convert_sigma(g, -1.0), teleport_state(g, 0.5)):
+            assert not {"_x_sums", "_y_sums"} & set(vars(other))
+
+
+def test_overflowing_readouts_raise_after_cached_rows():
+    # only finished sums are kept: a readout whose sums overflow raises on
+    # every call, on either side, and the cached row is unchanged by it
+    ch = evolve_channel(ChannelParams(0.5, 0.5, 0.3))
+    ax = np.linspace(-6.0, 6.0, 101)
+    g = fock_wigner(1, 8.0, 32)
+    want = measurement_density(g, ch, 0.5, ax)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="readouts are too large"):
+            measurement_density(g, ch, 1e200, ax)
+        with pytest.raises(DomainError, match="readouts are too large"):
+            measurement_density(g, ch, 0.5, np.full(101, 1e200))
+    assert _bits(measurement_density(g, ch, 0.5, ax)) == _bits(want)
+
+
+def test_readouts_with_equal_bytes_and_other_shapes_do_not_share_sums():
+    ch = evolve_channel(ChannelParams(0.5, 0.5, 0.3))
+    ax = np.linspace(-6.0, 6.0, 101)
+    g = vacuum_wigner(8.0, 32)
+    flat = measurement_density(g, ch, 0.5, ax)
+    column = measurement_density(g, ch, 0.5, ax[:, None])
+    assert flat.shape == (101,) and column.shape == (101, 1)
+    assert g.__dict__["_x_sums"][1].shape == (101, 1, 1)
+    assert _bits(column.ravel()) == _bits(flat)
